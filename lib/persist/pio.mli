@@ -2,9 +2,11 @@
 
     Everything on disk is little-endian: ints are 8-byte words (an OCaml
     [int] sign-extended through [Int64]), strings are length-prefixed raw
-    bytes. Data travels in {e sections} — [len][crc32][payload] — built in
-    a [Buffer] and checksummed as a unit, so readers verify integrity
-    before interpreting a single field. *)
+    bytes. Data travels in {e sections} — [len][crc32][payload] —
+    checksummed as a unit, so readers verify integrity before interpreting
+    a single field. Snapshot sections are built in a [Buffer] and written by
+    {!write_section}; WAL records are encoded in place in the same framing
+    (see {!Wal}). *)
 
 exception Corrupt of string
 (** Raised by every reader on truncation, checksum mismatch, or a field

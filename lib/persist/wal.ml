@@ -10,6 +10,9 @@ type t = {
   oc : out_channel;
   sync : sync_policy;
   lock : Mutex.t;
+  mutable buf : Bytes.t;
+      (* one record, framed as Pio sections are: [len][crc][payload];
+         reused for every record, guarded by [lock] *)
   mutable next_lsn : int;
   mutable unsynced : int;
   mutable obs : Smc_obs.t option; (* the attached collection's runtime counters *)
@@ -21,6 +24,9 @@ let op_remove = 2
 let op_store = 3
 let op_txn_begin = 4
 let op_txn_commit = 5
+
+(* Fits an [add] record of a 24-word slot; wider layouts grow [buf]. *)
+let initial_buf_bytes = 256
 
 let oincr t c = match t.obs with Some o -> Smc_obs.incr o c | None -> ()
 
@@ -41,8 +47,8 @@ let create ?(sync = Every 256) ?(base = 0) ~path ~name () =
      [Pio.Corrupt] instead of an empty log. *)
   Out_channel.flush oc;
   Unix.fsync (Unix.descr_of_out_channel oc);
-  { path; name; oc; sync; lock = Mutex.create (); next_lsn = base; unsynced = 0;
-    obs = None; closed = false }
+  { path; name; oc; sync; lock = Mutex.create (); buf = Bytes.create initial_buf_bytes;
+    next_lsn = base; unsynced = 0; obs = None; closed = false }
 
 let sync_locked t =
   if t.unsynced > 0 then begin
@@ -52,26 +58,92 @@ let sync_locked t =
     oincr t Smc_obs.c_persist_wal_syncs
   end
 
-let append_locked t payload =
-  if t.closed then invalid_arg "Wal: log is closed";
-  ignore (Pio.write_section t.oc payload : int);
-  t.next_lsn <- t.next_lsn + 1;
-  t.unsynced <- t.unsynced + 1;
-  oincr t Smc_obs.c_persist_wal_appends
-
 let apply_policy_locked t =
   match t.sync with
   | Always -> sync_locked t
   | Every n -> if t.unsynced >= n then sync_locked t
   | Manual -> ()
 
-let append t payload =
+(* In-place record encoding, under [lock]: [start] makes room for a payload
+   of [words] ints, [set] writes payload word [i], [finish] checksums the
+   payload where it lies and writes header and payload with one [output].
+   The bytes are those [Pio.write_section] would frame from the same ints. *)
+let start t ~words =
+  if t.closed then invalid_arg "Wal: log is closed";
+  let need = 16 + (8 * words) in
+  if Bytes.length t.buf < need then t.buf <- Bytes.create (max need (2 * Bytes.length t.buf))
+
+let set t i v = Bytes.set_int64_le t.buf (16 + (8 * i)) (Int64.of_int v)
+
+let finish t ~words =
+  let len = 8 * words in
+  Bytes.set_int64_le t.buf 0 (Int64.of_int len);
+  Bytes.set_int64_le t.buf 8 (Int64.of_int (Crc32.digest t.buf ~pos:16 ~len));
+  output t.oc t.buf 0 (16 + len);
+  t.next_lsn <- t.next_lsn + 1;
+  t.unsynced <- t.unsynced + 1;
+  oincr t Smc_obs.c_persist_wal_appends
+
+let set_ref t op r =
+  let packed = Smc.Ref.to_packed r in
+  set t 0 op;
+  set t 1 (Constants.ref_entry packed);
+  set t 2 (Constants.ref_inc packed)
+
+let add_locked t sw r blk slot =
+  start t ~words:(4 + sw);
+  set_ref t op_add r;
+  set t 3 sw;
+  for w = 0 to sw - 1 do
+    set t (4 + w) (Block.get_word blk ~slot ~word:w)
+  done;
+  finish t ~words:(4 + sw)
+
+let remove_locked t r =
+  start t ~words:3;
+  set_ref t op_remove r;
+  finish t ~words:3
+
+let store_locked t r ~word ~value =
+  start t ~words:5;
+  set_ref t op_store r;
+  set t 3 word;
+  set t 4 value;
+  finish t ~words:5
+
+(* Record entry points lock and unlock by hand rather than through
+   [Fun.protect], which would build a closure per record. *)
+let unlock_reraise t e =
+  let bt = Printexc.get_raw_backtrace () in
+  Mutex.unlock t.lock;
+  Printexc.raise_with_backtrace e bt
+
+let log_add t (coll : Smc.Collection.t) r blk slot =
   Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      append_locked t payload;
-      apply_policy_locked t)
+  match
+    add_locked t coll.Smc.Collection.layout.Layout.slot_words r blk slot;
+    apply_policy_locked t
+  with
+  | () -> Mutex.unlock t.lock
+  | exception e -> unlock_reraise t e
+
+let log_remove t r =
+  Mutex.lock t.lock;
+  match
+    remove_locked t r;
+    apply_policy_locked t
+  with
+  | () -> Mutex.unlock t.lock
+  | exception e -> unlock_reraise t e
+
+let append_store t r ~word ~value =
+  Mutex.lock t.lock;
+  match
+    store_locked t r ~word ~value;
+    apply_policy_locked t
+  with
+  | () -> Mutex.unlock t.lock
+  | exception e -> unlock_reraise t e
 
 let flush t =
   Mutex.lock t.lock;
@@ -99,76 +171,43 @@ let close t =
         t.closed <- true
       end)
 
-let add_payload (coll : Smc.Collection.t) r blk slot =
-  let packed = Smc.Ref.to_packed r in
-  let sw = coll.Smc.Collection.layout.Layout.slot_words in
-  let payload = Buffer.create (32 + (8 * sw)) in
-  Pio.add_int payload op_add;
-  Pio.add_int payload (Constants.ref_entry packed);
-  Pio.add_int payload (Constants.ref_inc packed);
-  Pio.add_int payload sw;
-  for w = 0 to sw - 1 do
-    Pio.add_int payload (Block.get_word blk ~slot ~word:w)
-  done;
-  payload
-
-let remove_payload r =
-  let packed = Smc.Ref.to_packed r in
-  let payload = Buffer.create 32 in
-  Pio.add_int payload op_remove;
-  Pio.add_int payload (Constants.ref_entry packed);
-  Pio.add_int payload (Constants.ref_inc packed);
-  payload
-
-let store_payload r ~word ~value =
-  let packed = Smc.Ref.to_packed r in
-  let payload = Buffer.create 48 in
-  Pio.add_int payload op_store;
-  Pio.add_int payload (Constants.ref_entry packed);
-  Pio.add_int payload (Constants.ref_inc packed);
-  Pio.add_int payload word;
-  Pio.add_int payload value;
-  payload
-
-let log_add t coll r blk slot = append t (add_payload coll r blk slot)
-let log_remove t r = append t (remove_payload r)
-
 let log_store t (coll : Smc.Collection.t) r ~word ~value =
   if not (Smc.Collection.mem coll r) then
     invalid_arg "Wal.log_store: reference is null or dead";
   if word < 0 || word >= coll.Smc.Collection.layout.Layout.slot_words then
     invalid_arg "Wal.log_store: word offset outside the layout";
-  append t (store_payload r ~word ~value)
+  append_store t r ~word ~value
 
 (* A committed transaction's batch: Txn_begin (carrying the declared op
    count), the body records, Txn_commit — appended under ONE mutex hold, so
    no bare append and no snapshot cut ([Snapshot.write] reads the LSN under
-   this same mutex) can land inside the frame. The body reuses the bare
-   payload builders; replay distinguishes framed from bare records purely
+   this same mutex) can land inside the frame. The body uses the bare
+   record encoders; replay distinguishes framed from bare records purely
    by position. *)
 let log_txn t (coll : Smc.Collection.t) ~txn_id ops =
+  let sw = coll.Smc.Collection.layout.Layout.slot_words in
   Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      let header = Buffer.create 32 in
-      Pio.add_int header op_txn_begin;
-      Pio.add_int header txn_id;
-      Pio.add_int header (List.length ops);
-      append_locked t header;
-      List.iter
-        (fun (op : Smc.Collection.logged_op) ->
-          append_locked t
-            (match op with
-            | Smc.Collection.L_add (r, blk, slot) -> add_payload coll r blk slot
-            | Smc.Collection.L_remove r -> remove_payload r
-            | Smc.Collection.L_store (r, word, value) -> store_payload r ~word ~value))
-        ops;
-      let footer = Buffer.create 16 in
-      Pio.add_int footer op_txn_commit;
-      Pio.add_int footer txn_id;
-      append_locked t footer;
-      apply_policy_locked t)
+  match
+    start t ~words:3;
+    set t 0 op_txn_begin;
+    set t 1 txn_id;
+    set t 2 (List.length ops);
+    finish t ~words:3;
+    List.iter
+      (fun (op : Smc.Collection.logged_op) ->
+        match op with
+        | Smc.Collection.L_add (r, blk, slot) -> add_locked t sw r blk slot
+        | Smc.Collection.L_remove r -> remove_locked t r
+        | Smc.Collection.L_store (r, word, value) -> store_locked t r ~word ~value)
+      ops;
+    start t ~words:2;
+    set t 0 op_txn_commit;
+    set t 1 txn_id;
+    finish t ~words:2;
+    apply_policy_locked t
+  with
+  | () -> Mutex.unlock t.lock
+  | exception e -> unlock_reraise t e
 
 let attach t (coll : Smc.Collection.t) =
   Smc.Collection.attach_wal coll
@@ -178,7 +217,7 @@ let attach t (coll : Smc.Collection.t) =
       wh_on_remove = (fun r -> log_remove t r);
       (* the collection fires this inside the store's critical section with
          the row alive, so skip log_store's liveness precheck *)
-      wh_on_store = (fun r ~word ~value -> append t (store_payload r ~word ~value));
+      wh_on_store = (fun r ~word ~value -> append_store t r ~word ~value);
       wh_on_txn = (fun ~txn_id ops -> log_txn t coll ~txn_id ops);
     };
   t.obs <- Some coll.Smc.Collection.rt.Runtime.obs

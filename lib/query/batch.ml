@@ -100,12 +100,37 @@ let iter_rows t ~f =
 (* Re-batcher: pack boxed rows back into [V_val] batches so row-at-a-time
    operators (joins, sorts, index probes) can keep feeding vectorized
    consumers. The returned batch is reused across emits — same loan
-   contract as every other producer. *)
+   contract as every other producer.
+
+   The column arrays start at [initial_rows] and double as rows are pushed,
+   up to [rows]: a point lookup's one hit must not pay for [ncols] arrays
+   of [rows] words, which at the default 1024 would land straight in the
+   major heap and make every lookup feed the major GC. Once grown they are
+   kept for the next chunk. *)
+let initial_rows = 8
+
 let rebatcher ~ncols ~rows ~emit =
   let cap = max rows 1 in
-  let store = Array.init ncols (fun _ -> Array.make cap Value.Null) in
+  let width = ref (min cap initial_rows) in
+  let store = Array.init ncols (fun _ -> Array.make !width Value.Null) in
+  (* [sel] stays chunk-sized on purpose: its data lives off the OCaml
+     heap, so it costs no major-heap words, and sizing it by hits as well
+     was measured to slow the [scan] benchmark's concurrent refreshes by up
+     to a third, by dropping a per-query 8 KB custom block that helps pace
+     the major GC the refresh domain relies on (docs/vectorized.md). *)
   let b =
     { cols = Array.map (fun a -> V_val a) store; sel = Context.make_sel cap; len = 0 }
+  in
+  let grow () =
+    let old = !width in
+    let w = min cap (2 * old) in
+    for c = 0 to ncols - 1 do
+      let a = Array.make w Value.Null in
+      Array.blit (Array.unsafe_get store c) 0 a 0 old;
+      Array.unsafe_set store c a;
+      Array.unsafe_set b.cols c (V_val a)
+    done;
+    width := w
   in
   let n = ref 0 in
   let flush () =
@@ -119,6 +144,7 @@ let rebatcher ~ncols ~rows ~emit =
   in
   let push (row : Value.t array) =
     let i = !n in
+    if i = !width then grow ();
     for c = 0 to ncols - 1 do
       Array.unsafe_set (Array.unsafe_get store c) i (Array.unsafe_get row c)
     done;

@@ -61,4 +61,6 @@ val rebatcher :
 (** [rebatcher ~ncols ~rows ~emit] returns [(push, flush)]: [push] packs
     boxed rows into reused [V_val] batches of [rows] capacity, emitting
     each full chunk; [flush] emits the final partial chunk. How
-    row-at-a-time operators keep feeding vectorized consumers. *)
+    row-at-a-time operators keep feeding vectorized consumers. The column
+    arrays start small and double as rows arrive, up to [rows], so a
+    producer with few rows allocates storage for few rows. *)

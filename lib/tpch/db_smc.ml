@@ -105,6 +105,8 @@ type t = {
   cf : customer_fields;
   orf : order_fields;
   lf : lineitem_fields;
+  supplier_refs : Smc.Ref.t array;
+  part_refs : Smc.Ref.t array;
   order_refs : Smc.Ref.t array;
   lineitem_refs : Smc.Ref.t array;
 }
@@ -372,6 +374,8 @@ let load ?(mode = Context.Indirect) ?(placement = Block.Row) ?(slots_per_block =
     cf;
     orf;
     lf;
+    supplier_refs;
+    part_refs;
     order_refs;
     lineitem_refs;
   }

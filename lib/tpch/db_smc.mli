@@ -110,6 +110,8 @@ type t = {
   cf : customer_fields;
   orf : order_fields;
   lf : lineitem_fields;
+  supplier_refs : Smc.Ref.t array;  (** aligned with the dataset's supplier array *)
+  part_refs : Smc.Ref.t array;  (** aligned with the dataset's part array *)
   order_refs : Smc.Ref.t array;  (** indexed by orderkey - 1 *)
   lineitem_refs : Smc.Ref.t array;  (** aligned with the dataset's lineitem array *)
 }

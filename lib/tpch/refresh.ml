@@ -20,12 +20,20 @@ let fresh_lineitem_values g =
     D.of_cents (Prng.int_in g 0 10),
     D.of_cents (Prng.int_in g 0 8) )
 
+(* Draws in the order of [fresh_lineitem_row], so one seed picks the same
+   order, part, supplier and values in every variant. Every reference
+   field is set: a zero word is not the null reference, and queries
+   following it would fault. *)
 let init_fresh_lineitem (db : Db_smc.t) g blk slot =
   let lf = db.Db_smc.lf in
-  let oidx = Prng.int g (Array.length db.Db_smc.order_refs) in
+  let pick refs = refs.(Prng.int g (Array.length refs)) in
+  let order = pick db.Db_smc.order_refs in
+  let part = pick db.Db_smc.part_refs in
+  let supplier = pick db.Db_smc.supplier_refs in
   let quantity, price, disc, tax = fresh_lineitem_values g in
-  F.set_ref lf.Db_smc.l_order ~target:db.Db_smc.orders blk slot
-    db.Db_smc.order_refs.(oidx);
+  F.set_ref lf.Db_smc.l_order ~target:db.Db_smc.orders blk slot order;
+  F.set_ref lf.Db_smc.l_part ~target:db.Db_smc.parts blk slot part;
+  F.set_ref lf.Db_smc.l_supplier ~target:db.Db_smc.suppliers blk slot supplier;
   F.set_int lf.Db_smc.l_linenumber blk slot 0;
   F.set_dec lf.Db_smc.l_quantity blk slot (D.of_int quantity);
   F.set_dec lf.Db_smc.l_extendedprice blk slot price;

@@ -220,6 +220,93 @@ let test_wal_rejects_direct_mode () =
   Wal.close wal
 
 (* ------------------------------------------------------------------ *)
+(* Record encoding *)
+
+(* Forty int words: an add record (16-byte frame, 8 * 44 payload bytes) is
+   wider than the log's initial record buffer, which must grow for it. *)
+let wide_layout =
+  Layout.create ~name:"wide" (List.init 40 (fun i -> (Printf.sprintf "w%d" i, Layout.Int)))
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The same records framed by [Pio.write_section]: the reference the
+   in-place encoder must match byte for byte. *)
+let sections_file ~name ~base records =
+  let path = tmp ".wal" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc "SMCWAL01";
+      let header = Buffer.create 64 in
+      Smc_persist.Pio.add_str header name;
+      Smc_persist.Pio.add_int header base;
+      ignore (Smc_persist.Pio.write_section oc header : int);
+      List.iter
+        (fun ints ->
+          let b = Buffer.create 64 in
+          List.iter (Smc_persist.Pio.add_int b) ints;
+          ignore (Smc_persist.Pio.write_section oc b : int))
+        records);
+  read_file path
+
+let test_records_match_section_framing () =
+  let rt = Runtime.create () in
+  let coll = Smc.Collection.create rt ~name:"wide" ~layout:wide_layout () in
+  let sw = wide_layout.Layout.slot_words in
+  let image seed = Array.init sw (fun w -> (seed * 1000) + w - 20) in
+  let init seed blk slot = Array.iteri (fun word v -> Block.set_word blk ~slot ~word v) (image seed) in
+  let path = tmp ".wal" in
+  let wal = Wal.create ~sync:Wal.Manual ~base:7 ~path ~name:"wide" () in
+  Wal.attach wal coll;
+  let r1 = Smc.Collection.add coll ~init:(init 1) in
+  let r2 = Smc.Collection.add coll ~init:(init 2) in
+  let r4 = Smc.Collection.add coll ~init:(init 4) in
+  Smc.Collection.store coll r1 ~word:3 ~value:(-42);
+  Wal.log_store wal coll r2 ~word:39 ~value:max_int;
+  ignore (Smc.Collection.remove coll r2 : bool);
+  let r3 =
+    match
+      Smc.Collection.transact coll (fun tx ->
+          Smc.Collection.stage_add tx ~init:(init 3);
+          Smc.Collection.stage_store tx r1 ~word:0 ~value:5;
+          Smc.Collection.stage_remove tx r4)
+    with
+    | Smc.Collection.Committed [ r3 ] -> r3
+    | _ -> Alcotest.fail "transaction must commit one add"
+  in
+  Wal.close wal;
+  let txn_id = ref (-1) in
+  ignore
+    (Wal.scan ~path ~f:(fun ~lsn:_ -> function
+       | Wal.Txn_begin { txn_id = id; _ } -> txn_id := id
+       | _ -> ())
+      : Wal.log_info);
+  let id r =
+    let p = Smc.Ref.to_packed r in
+    [ Constants.ref_entry p; Constants.ref_inc p ]
+  in
+  let add r seed = (1 :: id r) @ (sw :: Array.to_list (image seed)) in
+  let remove r = 2 :: id r in
+  let store r word value = (3 :: id r) @ [ word; value ] in
+  let expected =
+    sections_file ~name:"wide" ~base:7
+      [
+        add r1 1;
+        add r2 2;
+        add r4 4;
+        store r1 3 (-42);
+        store r2 39 max_int;
+        remove r2;
+        [ 4; !txn_id; 3 ];
+        add r3 3;
+        store r1 0 5;
+        remove r4;
+        [ 5; !txn_id ];
+      ]
+  in
+  check Alcotest.bool "a transaction frame was logged" true (!txn_id >= 0);
+  check Alcotest.int "same length" (String.length expected) (String.length (read_file path));
+  check Alcotest.bool "byte-identical to section framing" true (String.equal expected (read_file path))
+
+(* ------------------------------------------------------------------ *)
 (* Crash recovery *)
 
 let truncate_file path n =
@@ -421,6 +508,8 @@ let () =
           Alcotest.test_case "replay from empty snapshot" `Quick
             test_wal_replay_from_empty_snapshot;
           Alcotest.test_case "direct mode rejected" `Quick test_wal_rejects_direct_mode;
+          Alcotest.test_case "records match section framing" `Quick
+            test_records_match_section_framing;
         ] );
       ( "crash recovery",
         [

@@ -371,6 +371,69 @@ let test_refresh_stream_pair_runs () =
   if after < before / 2 || after > before * 2 then
     Alcotest.failf "refresh drifted: %d -> %d" before after
 
+(* Every SMC lineitem, read back into a managed row: each reference field is
+   followed and mapped to the dataset row with the key found behind it. *)
+let read_back_lineitems (db : Db_smc.t) (ds : Row.dataset) =
+  let module F = Smc.Field in
+  let lf = db.Db_smc.lf in
+  let key field ~target ~key blk slot =
+    match F.follow field ~target blk slot with
+    | Some (tb, ts) -> F.get_int key tb ts
+    | None -> Alcotest.fail "read-back: a lineitem reference is null"
+  in
+  let rows = ref [] in
+  Smc.Collection.with_read db.Db_smc.lineitems (fun () ->
+      Smc.Collection.iter db.Db_smc.lineitems ~f:(fun blk slot ->
+          let ok = key lf.Db_smc.l_order ~target:db.Db_smc.orders ~key:db.Db_smc.orf.Db_smc.o_orderkey blk slot
+          and pk = key lf.Db_smc.l_part ~target:db.Db_smc.parts ~key:db.Db_smc.pf.Db_smc.p_partkey blk slot
+          and sk =
+            key lf.Db_smc.l_supplier ~target:db.Db_smc.suppliers ~key:db.Db_smc.sf_.Db_smc.s_suppkey
+              blk slot
+          in
+          rows :=
+            {
+              Row.l_order = ds.Row.orders.(ok - 1);
+              l_part = ds.Row.parts.(pk - 1);
+              l_supplier = ds.Row.suppliers.(sk - 1);
+              l_linenumber = F.get_int lf.Db_smc.l_linenumber blk slot;
+              l_quantity = F.get_dec lf.Db_smc.l_quantity blk slot;
+              l_extendedprice = F.get_dec lf.Db_smc.l_extendedprice blk slot;
+              l_discount = F.get_dec lf.Db_smc.l_discount blk slot;
+              l_tax = F.get_dec lf.Db_smc.l_tax blk slot;
+              l_returnflag = F.get_char lf.Db_smc.l_returnflag blk slot;
+              l_linestatus = F.get_char lf.Db_smc.l_linestatus blk slot;
+              l_shipdate = F.get_date lf.Db_smc.l_shipdate blk slot;
+              l_commitdate = F.get_date lf.Db_smc.l_commitdate blk slot;
+              l_receiptdate = F.get_date lf.Db_smc.l_receiptdate blk slot;
+              l_shipinstruct = F.get_string lf.Db_smc.l_shipinstruct blk slot;
+              l_shipmode = F.get_string lf.Db_smc.l_shipmode blk slot;
+              l_comment = F.get_string lf.Db_smc.l_comment blk slot;
+            }
+            :: !rows));
+  Array.of_list (List.rev !rows)
+
+(* Refresh inserts must set every reference: Q5 follows l_supplier, and a
+   zero word there is not the null reference. Both SMC variants, safe and
+   unsafe Q5, against the managed engine over the rows read back. *)
+let test_refresh_inserts_feed_q5 () =
+  let ds = Dbgen.generate ~sf:0.005 () in
+  List.iter
+    (fun make ->
+      let db = Db_smc.load ds in
+      let ops = make db ds in
+      ops.Refresh.insert_batch ~count:1000;
+      let actuals = [ ("safe", Q_smc.q5 db); ("unsafe", Q_smc.q5 ~unsafe:true db) ] in
+      let expected =
+        Q_managed.q5 (Db_managed.of_vectors { ds with Row.lineitems = read_back_lineitems db ds })
+      in
+      List.iter
+        (fun (variant, actual) ->
+          if not (Results.equal_q5 expected actual) then
+            Alcotest.failf "%s %s Q5 after refresh inserts:\nref:\n%s\ngot:\n%s" ops.Refresh.kind
+              variant (Results.pp_q5 expected) (Results.pp_q5 actual))
+        actuals)
+    [ Refresh.smc_ops; Refresh.smc_txn_ops ]
+
 let test_linq_agreement () =
   (* LINQ-style Seq pipelines must compute the same answers as the compiled
      queries — only the evaluation model differs. *)
@@ -601,6 +664,7 @@ let () =
         [
           Alcotest.test_case "ops agree" `Quick test_refresh_ops_agree;
           Alcotest.test_case "stream pair runs" `Quick test_refresh_stream_pair_runs;
+          Alcotest.test_case "inserts feed Q5" `Quick test_refresh_inserts_feed_q5;
         ] );
       ( "compaction",
         [

@@ -404,6 +404,119 @@ let test_parallel_batch_scan () =
       check rows_testable "parallel aggregate agrees" (agg seq) (agg par))
 
 (* ------------------------------------------------------------------ *)
+(* Hit-sized batches: every row-bridged producer (IndexScan, ViewRead,
+   GroupBy, HashJoin, OrderBy) packs its rows through [Batch.rebatcher],
+   whose column storage grows with the rows pushed. Hit counts straddle
+   the initial capacity (8), its doublings and the chunk size (1024). *)
+
+let hit_counts = [ 0; 1; 7; 8; 9; 1023; 1024; 1025; 2049 ]
+
+(* Rows with [g = key h] number exactly [h]; [u] is unique per row. *)
+let key h = 100_000 + h
+
+let hits_layout =
+  Smc_offheap.Layout.create ~name:"hits"
+    [ ("g", Smc_offheap.Layout.Int); ("u", Smc_offheap.Layout.Int); ("s", Smc_offheap.Layout.Str 8) ]
+
+let hg = Smc.Field.int hits_layout "g"
+let hu = Smc.Field.int hits_layout "u"
+let hs = Smc.Field.str hits_layout "s"
+let hits_columns = [ ("g", Source.C_int hg); ("u", Source.C_int hu); ("s", Source.C_str hs) ]
+
+let hits_source () =
+  let rt = Smc_offheap.Runtime.create () in
+  let coll = Smc.Collection.create rt ~name:"hits" ~layout:hits_layout () in
+  let u = ref 0 in
+  List.iter
+    (fun h ->
+      for _ = 1 to h do
+        let i = !u in
+        incr u;
+        ignore
+          (Smc.Collection.add coll ~init:(fun blk slot ->
+               Smc.Field.set_int hg blk slot (key h);
+               Smc.Field.set_int hu blk slot i;
+               Smc.Field.set_string hs blk slot (Printf.sprintf "r%d" (i mod 97)))
+            : Smc.Ref.t)
+      done)
+    hit_counts;
+  let ix =
+    Smc_index.Hash_index.attach ~name:"by_g"
+      ~key:(Smc_index.Hash_index.Int_key (Smc.Field.get_int hg))
+      coll
+  in
+  (* One view per hit count, filtered to its key and grouped by the unique
+     column: a ViewRead returning exactly [h] rows. *)
+  let views =
+    List.map
+      (fun h ->
+        Smc_matview.Matview.attach
+          ~name:(Printf.sprintf "by_u_%d" h)
+          coll ~columns:hits_columns
+          ~keys:[ ("u", Expr.Col "u") ]
+          ~aggs:[ ("n", Source.V_count) ]
+          ~where:Expr.(Eq (Col "g", int (key h)))
+          ())
+      hit_counts
+  in
+  Source.of_smc coll ~columns:hits_columns ~indexes:[ ("g", ix) ]
+    ~matviews:(List.map Smc_matview.Matview.info views)
+
+let hit_plans src h =
+  let only = Plan.(where Expr.(Eq (Col "g", int (key h))) (scan src)) in
+  let dim = Source.of_array ~name:"dim" ~schema:[ "dk"; "tag" ] [| [| Value.Int (key h); Value.Str "t" |] |] in
+  [
+    ("index-scan", Plan.index_scan src ~column:"g" ~value:(Value.Int (key h)));
+    ( "view-read",
+      Plan.view_read src ~keys:[ ("u", Expr.Col "u") ] ~aggs:[ ("n", Plan.Count) ]
+        ~where:(Some Expr.(Eq (Col "g", int (key h)))) );
+    ("group-by", Plan.group_by ~keys:[ ("u", Expr.Col "u") ] ~aggs:[ ("n", Plan.Count) ] only);
+    ("hash-join", Plan.join ~on:[ ("g", "dk") ] only (Plan.scan dim));
+    ("order-by", Plan.order_by [ (Expr.Col "u", Plan.Desc) ] only);
+  ]
+
+let test_hit_sized_batches () =
+  let src = hits_source () in
+  List.iter
+    (fun h ->
+      List.iter
+        (fun (name, plan) ->
+          let reference = Interp.collect plan in
+          check Alcotest.int (Printf.sprintf "%s h=%d: volcano hits" name h) h (List.length reference);
+          List.iter
+            (fun batch_rows ->
+              let label =
+                Printf.sprintf "%s h=%d batch_rows=%s: vector = volcano" name h
+                  (match batch_rows with None -> "default" | Some b -> string_of_int b)
+              in
+              check rows_testable label reference (Vector.collect ?batch_rows plan))
+            [ None; Some 5; Some 8; Some 1000 ])
+        (hit_plans src h))
+    hit_counts
+
+(* A one-hit lookup at the default chunk size must not put column storage
+   for a whole chunk into the major heap: the bound is a quarter of one
+   column's chunk, for a three-column row. *)
+let test_one_hit_major_words () =
+  let src = hits_source () in
+  let plan = Plan.index_scan src ~column:"g" ~value:(Value.Int (key 1)) in
+  let hits () = List.length (Vector.collect plan) in
+  ignore (hits () : int);
+  Gc.minor ();
+  (* [Gc.counters], not [Gc.quick_stat]: the latter only sees direct
+     major-heap allocations once a collection has sampled them. *)
+  let major_words () =
+    let _, _, w = Gc.counters () in
+    w
+  in
+  let before = major_words () in
+  let n = hits () in
+  let words = major_words () -. before in
+  check Alcotest.int "one hit" 1 n;
+  if words > float_of_int (Vector.default_batch_rows / 4) then
+    Alcotest.failf "one-hit IndexScan allocated %.0f major words" words
+
+(* ------------------------------------------------------------------ *)
 (* Observability: filter counters balance *)
 
 let test_vec_counters () =
@@ -446,5 +559,10 @@ let () =
           qc "snapshot view frontier" test_view_frontier;
           qc "parallel batch scan" test_parallel_batch_scan;
           qc "filter counters balance" test_vec_counters;
+        ] );
+      ( "hit-sized batches",
+        [
+          qc "row-bridged producers at every hit count" test_hit_sized_batches;
+          qc "one-hit IndexScan stays out of the major heap" test_one_hit_major_words;
         ] );
     ]
