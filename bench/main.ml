@@ -1,14 +1,6 @@
-(* Benchmark entry point.
-
-   Part 1 — bechamel microbenchmarks: one Test.make per core operation and
-   per evaluation table/figure (the fast-loop kernel each figure stresses).
-   Part 2 — the full experiment harness: regenerates every table/figure of
-   the paper's evaluation section (same drivers as `bin/smc_bench all`).
-
-   Environment variables:
-     SMC_BENCH_SF     scale factor for the figure harness (default 0.05)
-     SMC_BENCH_QUICK  set to 1 for reduced sizes
-     SMC_BENCH_SKIP_FIGURES  set to 1 to run only the microbenchmarks *)
+(* Bechamel microbenchmarks: one Test.make per core operation and per
+   evaluation table/figure (the fast-loop kernel each figure stresses).
+   The figures themselves are regenerated by `smc_bench all`. *)
 
 open Bechamel
 open Toolkit
@@ -113,46 +105,4 @@ let run_microbenchmarks () =
         analyzed)
     tests
 
-(* ---------------- figure harness ---------------- *)
-
-let getenv_flag name = match Sys.getenv_opt name with Some ("1" | "true") -> true | _ -> false
-
-let run_figures () =
-  let sf =
-    match Sys.getenv_opt "SMC_BENCH_SF" with
-    | Some s -> float_of_string s
-    | None -> 0.05
-  in
-  let quick = getenv_flag "SMC_BENCH_QUICK" in
-  (* Off-heap Bigarrays of dropped figure databases are only returned to
-     the OS when the GC finalises them; compact between figures so memory
-     does not accumulate across the battery. *)
-  let p t =
-    Smc_util.Table.print t;
-    Gc.compact ()
-  in
-  print_endline "\n== Figure harness (paper evaluation reproduction) ==";
-  p (E.Fig6.table (E.Fig6.run ~n:(if quick then 50_000 else 200_000) ()));
-  p (E.Fig7.table (E.Fig7.run ~per_thread:(if quick then 100_000 else 300_000) ()));
-  p (E.Fig8.table (E.Fig8.run ~sf:(Float.min sf 0.02) ~pairs_per_thread:(if quick then 2 else 3) ()));
-  p
-    (E.Fig9.table
-       (E.Fig9.run
-          ~sizes:(if quick then [ 50_000; 200_000 ] else [ 100_000; 400_000; 1_600_000 ])
-          ~duration_s:(if quick then 1.0 else 2.0) ()));
-  p (E.Fig10.table (E.Fig10.run ~sf ~wear_pairs:(if quick then 10 else 20) ()));
-  p (E.Fig11.table (E.Fig11.run ~sf ()));
-  p (E.Fig12.table (E.Fig12.run ~sf ()));
-  p (E.Fig13.table (E.Fig13.run ~sf ()));
-  p (E.Linq_vs_compiled.table (E.Linq_vs_compiled.run ~sf ()));
-  p (E.Ext_queries.table (E.Ext_queries.run ~sf ()));
-  p (E.Query_scaling.table (E.Query_scaling.run ~sf ~domain_counts:(if quick then [ 1; 2 ] else [ 1; 2; 4; 8 ]) ()));
-  E.Ablations.print_all ~sf:(Float.min sf 0.02) ()
-
-let () =
-  (* Figures run first, on a clean heap: the microbenchmark fixtures retain
-     several databases for the process lifetime, which would otherwise add
-     a constant GC-marking floor to Figure 9. *)
-  if not (getenv_flag "SMC_BENCH_SKIP_FIGURES") then run_figures ();
-  Gc.compact ();
-  run_microbenchmarks ()
+let () = run_microbenchmarks ()

@@ -202,12 +202,12 @@ let run_index quick rows sf =
   print_table (E.Index_paths.table points);
   List.iter
     (fun (p : E.Index_paths.point) ->
-      if not p.E.Index_paths.identical then
-        prerr_endline ("index plan result mismatch: " ^ p.E.Index_paths.case))
+      if not p.E.Parity.identical then
+        prerr_endline ("index plan result mismatch: " ^ p.E.Parity.case))
     points;
   if
     violations <> []
-    || List.exists (fun (p : E.Index_paths.point) -> not p.E.Index_paths.identical) points
+    || List.exists (fun (p : E.Index_paths.point) -> not p.E.Parity.identical) points
   then begin
     prerr_endline (Smc_check.Audit.report violations);
     exit 1
@@ -227,14 +227,14 @@ let run_text quick rows =
   print_table (E.Text_bench.table points);
   List.iter
     (fun (p : E.Text_bench.point) ->
-      if not p.E.Text_bench.identical then
+      if not p.E.Parity.identical then
         prerr_endline
-          (Printf.sprintf "text plan result mismatch: %s/%s" p.E.Text_bench.case
-             p.E.Text_bench.engine))
+          (Printf.sprintf "text plan result mismatch: %s/%s" p.E.Parity.case
+             p.E.Parity.engine))
     points;
   if
     violations <> []
-    || List.exists (fun (p : E.Text_bench.point) -> not p.E.Text_bench.identical) points
+    || List.exists (fun (p : E.Text_bench.point) -> not p.E.Parity.identical) points
   then begin
     prerr_endline (Smc_check.Audit.report violations);
     exit 1

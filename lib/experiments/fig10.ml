@@ -13,17 +13,15 @@ type point = {
   nested_ms : float;
 }
 
-let median_ms f = Stats.median (Timing.repeat ~warmup:1 3 f)
-
 let managed_times iter_lineitems =
   let enumeration =
-    median_ms (fun () ->
+    Parity.median_ms (fun () ->
         let acc = ref 0 in
         iter_lineitems (fun (li : R.lineitem) -> acc := !acc + li.R.l_quantity);
         ignore (Sys.opaque_identity !acc))
   in
   let nested =
-    median_ms (fun () ->
+    Parity.median_ms (fun () ->
         let acc = ref 0 in
         iter_lineitems (fun (li : R.lineitem) ->
             acc := !acc + li.R.l_order.R.o_customer.R.c_acctbal);
@@ -56,7 +54,7 @@ let smc_times (db : Smc_tpch.Db_smc.t) =
       | Context.Direct -> Context.resolve_direct_loc ctx w
   in
   let enumeration =
-    median_ms (fun () ->
+    Parity.median_ms (fun () ->
         let acc = ref 0 in
         C.iter_scan db.Smc_tpch.Db_smc.lineitems ~on_block:(fun blk ->
             let data = blk.Block.data in
@@ -65,7 +63,7 @@ let smc_times (db : Smc_tpch.Db_smc.t) =
         ignore (Sys.opaque_identity !acc))
   in
   let nested =
-    median_ms (fun () ->
+    Parity.median_ms (fun () ->
         let acc = ref 0 in
         C.iter_scan db.Smc_tpch.Db_smc.lineitems ~on_block:(fun blk ->
             let data = blk.Block.data in

@@ -2,10 +2,6 @@ open Smc_util
 
 type point = { engine : string; query : int; relative_pct : float; absolute_ms : float }
 
-(* Minimum of several runs: the most noise-robust point estimate for a
-   deterministic computation on a shared machine. *)
-let best_ms f = Stats.min (Timing.repeat ~warmup:2 5 (fun () -> ignore (Sys.opaque_identity (f ()))))
-
 let queries_for_managed db =
   [|
     (fun () -> Obj.repr (Smc_tpch.Q_managed.q1 db));
@@ -30,7 +26,7 @@ let measure engines =
   (* engines: (name, query array); first engine is the 100% baseline. Every
      engine is measured exactly once so the baseline reads exactly 100. *)
   let timed =
-    List.map (fun (name, queries) -> (name, Array.map best_ms queries)) engines
+    List.map (fun (name, queries) -> (name, Array.map Parity.best_ms queries)) engines
   in
   match timed with
   | [] -> []

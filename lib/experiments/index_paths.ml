@@ -11,42 +11,11 @@
    before the final audits — so a bench run is also the index self-check
    workload. *)
 
-open Smc_util
 module Q = Smc_query
 module V = Smc_query.Value
 module H = Smc_index.Hash_index
 
-type point = {
-  case : string;
-  engine : string;
-  rows_out : int;
-  scan_ms : float;
-  idx_ms : float;
-  speedup : float;
-  identical : bool;
-}
-
-let median_ms f =
-  Stats.median (Timing.repeat ~warmup:1 3 (fun () -> ignore (Sys.opaque_identity (f ()))))
-
-let sorted_rows rows = List.sort Stdlib.compare rows
-
-let same_rows a b =
-  List.equal (fun x y -> Array.for_all2 V.equal x y) (sorted_rows a) (sorted_rows b)
-
-let measure ~case ~engine ~collect ~scan_plan ~idx_plan =
-  let scan_rows = collect scan_plan and idx_rows = collect idx_plan in
-  let scan_ms = median_ms (fun () -> collect scan_plan) in
-  let idx_ms = median_ms (fun () -> collect idx_plan) in
-  {
-    case;
-    engine;
-    rows_out = List.length idx_rows;
-    scan_ms;
-    idx_ms;
-    speedup = (if idx_ms > 0.0 then scan_ms /. idx_ms else infinity);
-    identical = same_rows scan_rows idx_rows;
-  }
+type point = Parity.point
 
 (* ---- synthetic items table ---------------------------------------- *)
 
@@ -101,13 +70,13 @@ let run_synthetic ~rows =
   let join_plan = Q.Plan.(join ~on:[ ("wk", "k") ] (scan left) (scan src)) in
   let points =
     [
-      measure ~case:"point k=const" ~engine:"Fuse" ~collect:Q.Fuse.collect
+      Parity.measure ~case:"point k=const" ~engine:"Fuse" ~collect:Q.Fuse.collect
         ~scan_plan:point_plan ~idx_plan:(indexed point_plan);
-      measure ~case:"point k=const" ~engine:"Volcano" ~collect:Q.Interp.collect
+      Parity.measure ~case:"point k=const" ~engine:"Volcano" ~collect:Q.Interp.collect
         ~scan_plan:point_plan ~idx_plan:(indexed point_plan);
-      measure ~case:"equi grp=const (+residual)" ~engine:"Fuse" ~collect:Q.Fuse.collect
+      Parity.measure ~case:"equi grp=const (+residual)" ~engine:"Fuse" ~collect:Q.Fuse.collect
         ~scan_plan:equi_plan ~idx_plan:(indexed equi_plan);
-      measure ~case:"join wanted⋈items" ~engine:"Fuse" ~collect:Q.Fuse.collect
+      Parity.measure ~case:"join wanted⋈items" ~engine:"Fuse" ~collect:Q.Fuse.collect
         ~scan_plan:join_plan ~idx_plan:(indexed join_plan);
     ]
   in
@@ -198,7 +167,7 @@ let run_tpch ~sf =
   let idx_plan = Q.Planner.choose_access_paths join_plan in
   assert (Q.Planner.uses_index idx_plan);
   let p =
-    measure ~case:"tpch lineitem⋈orders" ~engine:"Fuse" ~collect:Q.Fuse.collect
+    Parity.measure ~case:"tpch lineitem⋈orders" ~engine:"Fuse" ~collect:Q.Fuse.collect
       ~scan_plan:join_plan ~idx_plan
   in
   let contexts =
@@ -226,22 +195,4 @@ let run ?(rows = 1_000_000) ?(sf = 0.01) () =
   let tpch_points, tpch_violations = run_tpch ~sf in
   (syn_points @ tpch_points, syn_violations @ tpch_violations)
 
-let table points =
-  let t =
-    Table.create ~title:"Index access paths: indexed vs full-scan"
-      ~columns:[ "case"; "engine"; "rows out"; "scan ms"; "index ms"; "speedup"; "identical" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.case;
-          p.engine;
-          string_of_int p.rows_out;
-          Printf.sprintf "%.3f" p.scan_ms;
-          Printf.sprintf "%.3f" p.idx_ms;
-          Printf.sprintf "%.1fx" p.speedup;
-          string_of_bool p.identical;
-        ])
-    points;
-  t
+let table = Parity.table ~title:"Index access paths: indexed vs full-scan" ~path_ms:"index ms"

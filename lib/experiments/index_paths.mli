@@ -10,15 +10,9 @@
     {!Smc_check.Obs_check} sweeps: the returned violations list is empty
     iff every invariant held. *)
 
-type point = {
-  case : string;
-  engine : string;
-  rows_out : int;
-  scan_ms : float;
-  idx_ms : float;
-  speedup : float;
-  identical : bool;  (** indexed plan returned exactly the scan plan's rows *)
-}
+type point = Parity.point
+(** One scan-vs-indexed plan comparison; [identical] = the indexed plan returned
+    exactly the scan plan's rows. *)
 
 val run : ?rows:int -> ?sf:float -> unit -> point list * string list
 (** Defaults: 1M synthetic rows, TPC-H sf 0.01. *)

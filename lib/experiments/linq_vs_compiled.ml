@@ -4,8 +4,6 @@ module V = Smc_query.Value
 
 type point = { query : string; engine : string; ms : float; vs_compiled_pct : float }
 
-let median_ms f = Stats.median (Timing.repeat ~warmup:1 3 (fun () -> ignore (Sys.opaque_identity (f ()))))
-
 let lineitem_source (db : Smc_tpch.Db_smc.t) =
   let lf = db.Smc_tpch.Db_smc.lf in
   Q.Source.of_smc db.Smc_tpch.Db_smc.lineitems
@@ -87,7 +85,7 @@ let run ?(sf = 0.05) () =
   List.concat_map
     (fun (query, engines) ->
       (* Measure every engine exactly once; the first is the 100% base. *)
-      let timed = List.map (fun (engine, f) -> (engine, median_ms f)) engines in
+      let timed = List.map (fun (engine, f) -> (engine, Parity.median_ms f)) engines in
       match timed with
       | [] -> []
       | (_, base) :: _ ->

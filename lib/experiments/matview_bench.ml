@@ -21,7 +21,6 @@
 
 open Smc_util
 module Q = Smc_query
-module V = Smc_query.Value
 module MV = Smc_matview.Matview
 module Wal = Smc_persist.Wal
 module Snapshot = Smc_persist.Snapshot
@@ -35,14 +34,6 @@ type point = {
   speedup : float;
   identical : bool;
 }
-
-let median_ms f =
-  Stats.median (Timing.repeat ~warmup:1 3 (fun () -> ignore (Sys.opaque_identity (f ()))))
-
-let sorted_rows rows = List.sort Stdlib.compare rows
-
-let same_rows a b =
-  List.equal (fun x y -> Array.for_all2 V.equal x y) (sorted_rows a) (sorted_rows b)
 
 (* ---- fixture -------------------------------------------------------- *)
 
@@ -130,8 +121,8 @@ let run ?(rows = 1_000_000) ?dir () =
     List.iter
       (fun (engine, collect) ->
         let scan_rows = collect scan_plan and view_rows = collect view_plan in
-        let scan_ms = median_ms (fun () -> collect scan_plan) in
-        let view_ms = median_ms (fun () -> collect view_plan) in
+        let scan_ms = Parity.median_ms (fun () -> collect scan_plan) in
+        let view_ms = Parity.median_ms (fun () -> collect view_plan) in
         points :=
           {
             phase;
@@ -140,7 +131,7 @@ let run ?(rows = 1_000_000) ?dir () =
             scan_ms;
             view_ms;
             speedup = (if view_ms > 0.0 then scan_ms /. view_ms else infinity);
-            identical = same_rows scan_rows view_rows;
+            identical = Parity.same_rows scan_rows view_rows;
           }
           :: !points)
       engines
@@ -152,13 +143,13 @@ let run ?(rows = 1_000_000) ?dir () =
      scales down with the corpus like the other access-path gates. *)
   let repeated_reads = 50 in
   let view_rep =
-    median_ms (fun () ->
+    Parity.median_ms (fun () ->
         for _ = 1 to repeated_reads do
           ignore (Sys.opaque_identity (Q.Fuse.collect view_plan))
         done)
   in
   let scan_rep =
-    median_ms (fun () ->
+    Parity.median_ms (fun () ->
         for _ = 1 to repeated_reads do
           ignore (Sys.opaque_identity (Q.Fuse.collect scan_plan))
         done)
@@ -237,14 +228,14 @@ let run ?(rows = 1_000_000) ?dir () =
     !out
   in
   let live_rows = Q.Fuse.collect view_plan in
-  if not (same_rows mv2_rows live_rows) then
+  if not (Parity.same_rows mv2_rows live_rows) then
     vf "recovered view diverges from the live view (%d vs %d groups)"
       (List.length mv2_rows) (List.length live_rows);
   let src2 = Q.Source.of_smc coll2 ~columns in
   let scratch2 =
     Q.Interp.collect (Q.Plan.group_by ~keys ~aggs:plan_aggs (Q.Plan.scan src2))
   in
-  if not (same_rows mv2_rows scratch2) then
+  if not (Parity.same_rows mv2_rows scratch2) then
     vf "recovered view diverges from re-aggregating the recovered rows";
   points :=
     {
@@ -254,7 +245,7 @@ let run ?(rows = 1_000_000) ?dir () =
       scan_ms = 0.0;
       view_ms = 0.0;
       speedup = 1.0;
-      identical = same_rows mv2_rows live_rows && same_rows mv2_rows scratch2;
+      identical = Parity.same_rows mv2_rows live_rows && Parity.same_rows mv2_rows scratch2;
     }
     :: !points;
   if own_dir then begin

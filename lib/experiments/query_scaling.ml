@@ -2,10 +2,6 @@ open Smc_util
 
 type point = { query : string; variant : string; domains : int; ms : float; speedup : float }
 
-(* Minimum of several runs, as in Fig 11: the most noise-robust point
-   estimate for a deterministic computation on a shared machine. *)
-let best_ms f = Stats.min (Timing.repeat ~warmup:2 5 (fun () -> ignore (Sys.opaque_identity (f ()))))
-
 let run ?(sf = 0.05) ?(domain_counts = [ 1; 2; 4; 8 ]) () =
   let ds = Smc_tpch.Dbgen.generate ~sf () in
   let db = Smc_tpch.Db_smc.load ds in
@@ -31,11 +27,11 @@ let run ?(sf = 0.05) ?(domain_counts = [ 1; 2; 4; 8 ]) () =
       in
       List.concat_map
         (fun (query, seq, par) ->
-          let seq_ms = best_ms seq in
+          let seq_ms = Parity.best_ms seq in
           { query; variant = "SMC (unsafe, seq)"; domains = 1; ms = seq_ms; speedup = 1.0 }
           :: List.map
                (fun domains ->
-                 let ms = best_ms (fun () -> par domains) in
+                 let ms = Parity.best_ms (fun () -> par domains) in
                  { query; variant = "SMC (parallel)"; domains; ms; speedup = seq_ms /. ms })
                domain_counts)
         queries)

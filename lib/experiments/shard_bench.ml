@@ -15,7 +15,6 @@ module Pool = Smc_parallel.Pool
 module Shard = Smc_shard.Shard
 module Wal = Smc_persist.Wal
 module Q = Smc_query
-module V = Smc_query.Value
 
 type point = {
   shards : int;
@@ -86,12 +85,6 @@ let engines =
              gate below reports it. *)
           Q.Fuse.collect plan );
   ]
-
-let rows_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun ra rb -> Array.length ra = Array.length rb && Array.for_all2 V.equal ra rb)
-       a b
 
 let dump_sorted sh =
   Shard.fold sh ~init:[]
@@ -212,7 +205,7 @@ let run ?(shard_counts = [ 1; 2; 4; 8 ]) ?(txns = 240) ?(ops_per_txn = 8) ?dir (
           let reference = Q.Interp.collect plan_ref in
           List.iter
             (fun (ename, run_engine) ->
-              if not (rows_equal reference (run_engine plan_sh)) then
+              if not (Parity.rows_equal reference (run_engine plan_sh)) then
                 note "shards=%d: %s/%s differs from the unsharded reference" n pname ename)
             engines)
         (List.combine (plans src_sh) (plans src_ref));

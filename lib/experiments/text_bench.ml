@@ -14,42 +14,10 @@
    re-verifies parity, so a bench run is also the text-index self-check
    workload. *)
 
-open Smc_util
 module Q = Smc_query
-module V = Smc_query.Value
 module T = Smc_text.Sa_index
 
-type point = {
-  case : string;
-  engine : string;
-  rows_out : int;
-  scan_ms : float;
-  idx_ms : float;
-  speedup : float;
-  identical : bool;
-}
-
-let median_ms f =
-  Stats.median (Timing.repeat ~warmup:1 3 (fun () -> ignore (Sys.opaque_identity (f ()))))
-
-let sorted_rows rows = List.sort Stdlib.compare rows
-
-let same_rows a b =
-  List.equal (fun x y -> Array.for_all2 V.equal x y) (sorted_rows a) (sorted_rows b)
-
-let measure ~case ~engine ~collect ~scan_plan ~idx_plan =
-  let scan_rows = collect scan_plan and idx_rows = collect idx_plan in
-  let scan_ms = median_ms (fun () -> collect scan_plan) in
-  let idx_ms = median_ms (fun () -> collect idx_plan) in
-  {
-    case;
-    engine;
-    rows_out = List.length idx_rows;
-    scan_ms;
-    idx_ms;
-    speedup = (if idx_ms > 0.0 then scan_ms /. idx_ms else infinity);
-    identical = same_rows scan_rows idx_rows;
-  }
+type point = Parity.point
 
 (* ---- corpus --------------------------------------------------------- *)
 
@@ -136,16 +104,16 @@ let run ?(rows = 1_000_000) () =
     List.concat_map
       (fun (engine, collect) ->
         [
-          measure ~case:("substring " ^ marker) ~engine ~collect ~scan_plan:sub_plan
+          Parity.measure ~case:("substring " ^ marker) ~engine ~collect ~scan_plan:sub_plan
             ~idx_plan:(indexed sub_plan);
-          measure ~case:("prefix " ^ prefix) ~engine ~collect ~scan_plan:pre_plan
+          Parity.measure ~case:("prefix " ^ prefix) ~engine ~collect ~scan_plan:pre_plan
             ~idx_plan:(indexed pre_plan);
         ])
       engines
     @ [
-        measure ~case:"substring (+residual)" ~engine:"Fuse" ~collect:Q.Fuse.collect
+        Parity.measure ~case:"substring (+residual)" ~engine:"Fuse" ~collect:Q.Fuse.collect
           ~scan_plan:mix_plan ~idx_plan:(indexed mix_plan);
-        measure ~case:"substring (+residual)" ~engine:"Vector"
+        Parity.measure ~case:"substring (+residual)" ~engine:"Vector"
           ~collect:(fun p -> Q.Vector.collect p)
           ~scan_plan:mix_plan ~idx_plan:(indexed mix_plan);
       ]
@@ -156,7 +124,7 @@ let run ?(rows = 1_000_000) () =
   let floor = if rows >= 500_000 then 100.0 else 3.0 in
   List.iter
     (fun p ->
-      if String.equal p.engine "Fuse" && String.equal p.case ("substring " ^ marker) then
+      if String.equal p.Parity.engine "Fuse" && String.equal p.Parity.case ("substring " ^ marker) then
         if p.speedup < floor then
           vf "text path speedup %.1fx below the %.0fx floor (%s/%s)" p.speedup floor
             p.case p.engine)
@@ -200,7 +168,7 @@ let run ?(rows = 1_000_000) () =
     !updated;
   (* Post-churn parity: the rewritten plan must still match the scan. *)
   let post = Q.Fuse.collect sub_plan and post_ix = Q.Fuse.collect (indexed sub_plan) in
-  if not (same_rows post post_ix) then
+  if not (Parity.same_rows post post_ix) then
     vf "post-churn substring parity: indexed plan diverged from the scan";
   (* Similarity smoke: a live row's own text must surface itself. *)
   let probe_row = 3 in
@@ -216,22 +184,4 @@ let run ?(rows = 1_000_000) () =
   in
   (points, List.rev final)
 
-let table points =
-  let t =
-    Table.create ~title:"Text access paths: suffix-array probes vs full scans"
-      ~columns:[ "case"; "engine"; "rows out"; "scan ms"; "text ms"; "speedup"; "identical" ]
-  in
-  List.iter
-    (fun p ->
-      Table.add_row t
-        [
-          p.case;
-          p.engine;
-          string_of_int p.rows_out;
-          Printf.sprintf "%.3f" p.scan_ms;
-          Printf.sprintf "%.3f" p.idx_ms;
-          Printf.sprintf "%.1fx" p.speedup;
-          string_of_bool p.identical;
-        ])
-    points;
-  t
+let table = Parity.table ~title:"Text access paths: suffix-array probes vs full scans" ~path_ms:"text ms"

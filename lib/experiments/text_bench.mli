@@ -14,15 +14,9 @@
     {!Smc_check.Obs_check} sweeps: the returned violations list is empty
     iff every invariant held. *)
 
-type point = {
-  case : string;
-  engine : string;
-  rows_out : int;
-  scan_ms : float;
-  idx_ms : float;
-  speedup : float;
-  identical : bool;  (** text plan returned exactly the scan plan's rows *)
-}
+type point = Parity.point
+(** One scan-vs-text plan comparison; [identical] = the text plan returned
+    exactly the scan plan's rows. *)
 
 val run : ?rows:int -> unit -> point list * string list
 (** Default: 1M documents. *)

@@ -11,7 +11,6 @@
 
 open Smc_util
 module Q = Smc_query
-module V = Smc_query.Value
 
 type point = {
   query : string;  (** ["Q1"] | ["Q6"] *)
@@ -22,15 +21,6 @@ type point = {
   identical : bool;  (** rows bit-identical to the Volcano reference *)
   note : string;  (** compile outcome, skip reason, or [""] *)
 }
-
-let median_ms f =
-  Stats.median (Timing.repeat ~warmup:1 3 (fun () -> ignore (Sys.opaque_identity (f ()))))
-
-let rows_equal a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun ra rb -> Array.length ra = Array.length rb && Array.for_all2 V.equal ra rb)
-       a b
 
 let run ?(sf = 0.1) () =
   let ds = Smc_tpch.Dbgen.generate ~sf () in
@@ -43,7 +33,7 @@ let run ?(sf = 0.1) () =
   let bench query plan =
     let reference = Q.Interp.collect plan in
     if reference = [] then note_violation "%s: empty reference result" query;
-    let fuse_ms = median_ms (fun () -> Q.Fuse.collect plan) in
+    let fuse_ms = Parity.median_ms (fun () -> Q.Fuse.collect plan) in
     let emit engine ms identical note =
       points :=
         {
@@ -59,8 +49,8 @@ let run ?(sf = 0.1) () =
       if not identical then note_violation "%s/%s: rows differ from the Volcano reference" query engine
     in
     let timed engine f note =
-      let identical = rows_equal reference (f ()) in
-      emit engine (median_ms f) identical note
+      let identical = Parity.rows_equal reference (f ()) in
+      emit engine (Parity.median_ms f) identical note
     in
     timed "Volcano" (fun () -> Q.Interp.collect plan) "";
     timed "Fuse" (fun () -> Q.Fuse.collect plan) "";

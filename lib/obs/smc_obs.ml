@@ -14,208 +14,138 @@
    artifact without threading instances through every layer. *)
 
 (* Counter ids: dense ints so a stripe is one array and an increment is one
-   indexed store. [names] must stay in sync — [all] below is the single
-   source of truth. *)
+   indexed store. [counter] registers a name and returns the next id, so a
+   counter is declared in one line here (plus its [.mli] entry); the
+   declaration order below fixes the ids. *)
 
-let c_allocs = 0 (* slot allocations handed out by Context.alloc *)
-let c_frees = 1 (* successful Context.free calls *)
-let c_retires = 2 (* retire_slot calls (limbo + quarantine) *)
-let c_quarantines = 3 (* slots quarantined at the incarnation bound *)
-let c_slot_recycles = 4 (* limbo slots reclaimed by the allocation scan *)
-let c_limbo_drops = 5 (* limbo slots discarded with dead compaction sources *)
-let c_blocks_created = 6 (* blocks minted, including compaction targets *)
-let c_fresh_blocks = 7 (* blocks minted by the allocator (queue was dry) *)
-let c_rq_pushes = 8 (* reclamation-queue pushes *)
-let c_rq_pops = 9 (* reclamation-queue pops (block recycles) *)
-let c_rq_dead_drops = 10 (* dead blocks drained from the queue head *)
-let c_rq_unqueues = 11 (* queued blocks pulled out by the compactor *)
-let c_epoch_adv_ok = 12 (* successful Epoch.try_advance calls *)
-let c_epoch_adv_fail = 13 (* failed Epoch.try_advance calls *)
-let c_crit_enters = 14 (* outermost critical-section entries *)
-let c_thread_registers = 15 (* epoch thread-slot registrations *)
-let c_thread_releases = 16 (* epoch thread-slot releases (explicit + GC) *)
-let c_entries_minted = 17 (* never-used indirection entries bumped *)
-let c_entries_recycled = 18 (* indirection entries reused from free stores *)
-let c_entries_freed = 19 (* indirection entries returned for reuse *)
-let c_compaction_passes = 20 (* compaction passes that formed groups *)
-let c_compaction_aborts = 21 (* passes aborted at an epoch boundary *)
-let c_compaction_phases = 22 (* compaction phase transitions *)
-let c_groups_formed = 23
-let c_groups_skipped = 24
-let c_objects_moved = 25
-let c_blocks_retired = 26
-let c_reloc_helps = 27 (* readers helping a relocation (§5.1 case c) *)
-let c_reloc_bails = 28 (* readers bailing an object out (§5.1 case b) *)
-let c_pool_tasks = 29 (* tasks submitted to a domain pool *)
-let c_par_scans = 30 (* parallel enumerations started *)
-let c_par_workers = 31 (* worker activations across parallel enumerations *)
-let c_idx_inserts = 32 (* entries inserted into hash indexes *)
-let c_idx_probes = 33 (* index probe operations *)
-let c_idx_hits = 34 (* validated (live) entries yielded by probes *)
-let c_idx_stale = 35 (* stale entries observed (probe sightings + purges) *)
-let c_idx_tombstones = 36 (* stale entries tombstoned or dropped by sweeps/rebuilds *)
-let c_idx_rebuilds = 37 (* index rebuilds (load-factor or churn triggered) *)
-let c_persist_snapshots = 38 (* snapshot files written *)
-let c_persist_snapshot_bytes = 39 (* bytes streamed into snapshot files *)
-let c_persist_restores = 40 (* collections restored from snapshot files *)
-let c_persist_restore_bytes = 41 (* bytes read back while restoring *)
-let c_persist_wal_appends = 42 (* records appended to write-ahead logs *)
-let c_persist_wal_syncs = 43 (* fsync batches issued by write-ahead logs *)
-let c_persist_wal_replayed = 44 (* records replayed during recovery *)
-let c_persist_torn_drops = 45 (* torn final WAL records discarded at recovery *)
-let c_txn_begins = 46 (* transactions opened by Collection.txn *)
-let c_txn_commits = 47 (* transactions committed (validation passed) *)
-let c_txn_aborts = 48 (* transactions explicitly aborted *)
-let c_txn_conflicts = 49 (* commits refused by write-write validation *)
-let c_txn_replayed = 50 (* committed transactions re-applied at recovery *)
-let c_txn_replay_skips = 51 (* uncommitted transaction bodies discarded at recovery *)
-let c_txn_views = 52 (* snapshot views opened *)
-let c_txn_view_closes = 53 (* snapshot views closed *)
-let c_bare_stores = 54 (* CSN-stamped in-place Collection.store writes *)
-let c_vec_batches = 55 (* batches produced by vectorized SMC scans *)
-let c_vec_batch_rows = 56 (* rows gathered into those batches *)
-let c_vec_filter_rows_in = 57 (* rows entering vectorized filters *)
-let c_vec_filter_rows_kept = 58 (* rows surviving vectorized filters *)
-let c_vec_filter_rows_dropped = 59 (* rows cut by vectorized filters *)
-let c_cg_requests = 60 (* compiled-plan executions requested *)
-let c_cg_compiles = 61 (* plans compiled + dynlinked *)
-let c_cg_cache_hits = 62 (* requests served from the compiled-plan cache *)
-let c_cg_fallbacks = 63 (* requests that fell back to the Fuse engine *)
-let c_shard_routes = 64 (* single operations routed to an owning shard *)
-let c_shard_txns = 65 (* sharded transactions submitted for commit *)
-let c_shard_txn_commits = 66 (* sharded transactions committed *)
-let c_shard_txn_conflicts = 67 (* sharded transactions refused by validation *)
-let c_shard_txn_multi = 68 (* committed transactions spanning > 1 shard *)
-let c_shard_fanouts = 69 (* fan-out scans merged across all shards *)
-let c_srv_conns = 70 (* connections accepted by the serving loop *)
-let c_srv_requests = 71 (* request frames decoded *)
-let c_srv_replies = 72 (* requests answered with an ok frame *)
-let c_srv_errors = 73 (* requests answered with an error frame *)
-let c_srv_shed = 74 (* requests shed by admission control *)
-let c_txt_adds = 75 (* rows appended to text-index pending logs *)
-let c_txt_removes = 76 (* row removals observed by text indexes *)
-let c_txt_probes = 77 (* text-index probe operations *)
-let c_txt_candidates = 78 (* candidate sightings surfaced by probes *)
-let c_txt_hits = 79 (* validated (live, still-matching) candidates emitted *)
-let c_txt_stale = 80 (* candidates whose ref no longer resolved *)
-let c_txt_misses = 81 (* live candidates whose current text no longer matches *)
-let c_txt_dups = 82 (* candidates suppressed by per-probe deduplication *)
-let c_txt_rebuilds = 83 (* suffix-array merge-rebuilds *)
-let c_txt_dropped = 84 (* entries dropped (stale/dead) by rebuilds *)
-let c_mv_builds = 85 (* materialized-view full builds (attach + invalidation recovery) *)
-let c_mv_adds = 86 (* +delta applications from row adds *)
-let c_mv_removes = 87 (* -delta applications from row removes *)
-let c_mv_stores = 88 (* remove+add delta applications from in-place stores *)
-let c_mv_applied = 89 (* total deltas applied (= adds + removes + stores) *)
-let c_mv_reads = 90 (* view read operations *)
-let c_mv_hits = 91 (* reads served entirely from maintained state *)
-let c_mv_rescans = 92 (* reads that re-derived dirty groups by bounded re-scan *)
-let c_mv_invalidations = 93 (* whole-view invalidations (non-incrementalizable delta) *)
+let registered = ref []
+let n_registered = ref 0
 
-let all =
-  [|
-    ("allocs", c_allocs);
-    ("frees", c_frees);
-    ("retires", c_retires);
-    ("quarantines", c_quarantines);
-    ("slot_recycles", c_slot_recycles);
-    ("limbo_drops", c_limbo_drops);
-    ("blocks_created", c_blocks_created);
-    ("fresh_blocks", c_fresh_blocks);
-    ("rq_pushes", c_rq_pushes);
-    ("rq_pops", c_rq_pops);
-    ("rq_dead_drops", c_rq_dead_drops);
-    ("rq_unqueues", c_rq_unqueues);
-    ("epoch_adv_ok", c_epoch_adv_ok);
-    ("epoch_adv_fail", c_epoch_adv_fail);
-    ("crit_enters", c_crit_enters);
-    ("thread_registers", c_thread_registers);
-    ("thread_releases", c_thread_releases);
-    ("entries_minted", c_entries_minted);
-    ("entries_recycled", c_entries_recycled);
-    ("entries_freed", c_entries_freed);
-    ("compaction_passes", c_compaction_passes);
-    ("compaction_aborts", c_compaction_aborts);
-    ("compaction_phases", c_compaction_phases);
-    ("groups_formed", c_groups_formed);
-    ("groups_skipped", c_groups_skipped);
-    ("objects_moved", c_objects_moved);
-    ("blocks_retired", c_blocks_retired);
-    ("reloc_helps", c_reloc_helps);
-    ("reloc_bails", c_reloc_bails);
-    ("pool_tasks", c_pool_tasks);
-    ("par_scans", c_par_scans);
-    ("par_workers", c_par_workers);
-    ("idx_inserts", c_idx_inserts);
-    ("idx_probes", c_idx_probes);
-    ("idx_hits", c_idx_hits);
-    ("idx_stale", c_idx_stale);
-    ("idx_tombstones", c_idx_tombstones);
-    ("idx_rebuilds", c_idx_rebuilds);
-    ("persist_snapshots", c_persist_snapshots);
-    ("persist_snapshot_bytes", c_persist_snapshot_bytes);
-    ("persist_restores", c_persist_restores);
-    ("persist_restore_bytes", c_persist_restore_bytes);
-    ("persist_wal_appends", c_persist_wal_appends);
-    ("persist_wal_syncs", c_persist_wal_syncs);
-    ("persist_wal_replayed", c_persist_wal_replayed);
-    ("persist_torn_drops", c_persist_torn_drops);
-    ("txn_begins", c_txn_begins);
-    ("txn_commits", c_txn_commits);
-    ("txn_aborts", c_txn_aborts);
-    ("txn_conflicts", c_txn_conflicts);
-    ("txn_replayed", c_txn_replayed);
-    ("txn_replay_skips", c_txn_replay_skips);
-    ("txn_views", c_txn_views);
-    ("txn_view_closes", c_txn_view_closes);
-    ("bare_stores", c_bare_stores);
-    ("vec_batches", c_vec_batches);
-    ("vec_batch_rows", c_vec_batch_rows);
-    ("vec_filter_rows_in", c_vec_filter_rows_in);
-    ("vec_filter_rows_kept", c_vec_filter_rows_kept);
-    ("vec_filter_rows_dropped", c_vec_filter_rows_dropped);
-    ("cg_requests", c_cg_requests);
-    ("cg_compiles", c_cg_compiles);
-    ("cg_cache_hits", c_cg_cache_hits);
-    ("cg_fallbacks", c_cg_fallbacks);
-    ("shard_routes", c_shard_routes);
-    ("shard_txns", c_shard_txns);
-    ("shard_txn_commits", c_shard_txn_commits);
-    ("shard_txn_conflicts", c_shard_txn_conflicts);
-    ("shard_txn_multi", c_shard_txn_multi);
-    ("shard_fanouts", c_shard_fanouts);
-    ("srv_conns", c_srv_conns);
-    ("srv_requests", c_srv_requests);
-    ("srv_replies", c_srv_replies);
-    ("srv_errors", c_srv_errors);
-    ("srv_shed", c_srv_shed);
-    ("txt_adds", c_txt_adds);
-    ("txt_removes", c_txt_removes);
-    ("txt_probes", c_txt_probes);
-    ("txt_candidates", c_txt_candidates);
-    ("txt_hits", c_txt_hits);
-    ("txt_stale", c_txt_stale);
-    ("txt_misses", c_txt_misses);
-    ("txt_dups", c_txt_dups);
-    ("txt_rebuilds", c_txt_rebuilds);
-    ("txt_dropped", c_txt_dropped);
-    ("mv_builds", c_mv_builds);
-    ("mv_adds", c_mv_adds);
-    ("mv_removes", c_mv_removes);
-    ("mv_stores", c_mv_stores);
-    ("mv_applied", c_mv_applied);
-    ("mv_reads", c_mv_reads);
-    ("mv_hits", c_mv_hits);
-    ("mv_rescans", c_mv_rescans);
-    ("mv_invalidations", c_mv_invalidations);
-  |]
+let counter name =
+  registered := name :: !registered;
+  let id = !n_registered in
+  incr n_registered;
+  id
 
-let n_counters = Array.length all
+let c_allocs = counter "allocs" (* slot allocations handed out by Context.alloc *)
+let c_frees = counter "frees" (* successful Context.free calls *)
+let c_retires = counter "retires" (* retire_slot calls (limbo + quarantine) *)
+let c_quarantines = counter "quarantines" (* slots quarantined at the incarnation bound *)
+let c_slot_recycles = counter "slot_recycles" (* limbo slots reclaimed by the allocation scan *)
+(* limbo slots discarded with dead compaction sources *)
+let c_limbo_drops = counter "limbo_drops"
+(* blocks minted, including compaction targets *)
+let c_blocks_created = counter "blocks_created"
+let c_fresh_blocks = counter "fresh_blocks" (* blocks minted by the allocator (queue was dry) *)
+let c_rq_pushes = counter "rq_pushes" (* reclamation-queue pushes *)
+let c_rq_pops = counter "rq_pops" (* reclamation-queue pops (block recycles) *)
+let c_rq_dead_drops = counter "rq_dead_drops" (* dead blocks drained from the queue head *)
+let c_rq_unqueues = counter "rq_unqueues" (* queued blocks pulled out by the compactor *)
+let c_epoch_adv_ok = counter "epoch_adv_ok" (* successful Epoch.try_advance calls *)
+let c_epoch_adv_fail = counter "epoch_adv_fail" (* failed Epoch.try_advance calls *)
+let c_crit_enters = counter "crit_enters" (* outermost critical-section entries *)
+let c_thread_registers = counter "thread_registers" (* epoch thread-slot registrations *)
+(* epoch thread-slot releases (explicit + GC) *)
+let c_thread_releases = counter "thread_releases"
+let c_entries_minted = counter "entries_minted" (* never-used indirection entries bumped *)
+(* indirection entries reused from free stores *)
+let c_entries_recycled = counter "entries_recycled"
+let c_entries_freed = counter "entries_freed" (* indirection entries returned for reuse *)
+let c_compaction_passes = counter "compaction_passes" (* compaction passes that formed groups *)
+let c_compaction_aborts = counter "compaction_aborts" (* passes aborted at an epoch boundary *)
+let c_compaction_phases = counter "compaction_phases" (* compaction phase transitions *)
+let c_groups_formed = counter "groups_formed"
+let c_groups_skipped = counter "groups_skipped"
+let c_objects_moved = counter "objects_moved"
+let c_blocks_retired = counter "blocks_retired"
+let c_reloc_helps = counter "reloc_helps" (* readers helping a relocation (§5.1 case c) *)
+let c_reloc_bails = counter "reloc_bails" (* readers bailing an object out (§5.1 case b) *)
+let c_pool_tasks = counter "pool_tasks" (* tasks submitted to a domain pool *)
+let c_par_scans = counter "par_scans" (* parallel enumerations started *)
+let c_par_workers = counter "par_workers" (* worker activations across parallel enumerations *)
+let c_idx_inserts = counter "idx_inserts" (* entries inserted into hash indexes *)
+let c_idx_probes = counter "idx_probes" (* index probe operations *)
+let c_idx_hits = counter "idx_hits" (* validated (live) entries yielded by probes *)
+let c_idx_stale = counter "idx_stale" (* stale entries observed (probe sightings + purges) *)
+(* stale entries tombstoned or dropped by sweeps/rebuilds *)
+let c_idx_tombstones = counter "idx_tombstones"
+(* index rebuilds (load-factor or churn triggered) *)
+let c_idx_rebuilds = counter "idx_rebuilds"
+let c_persist_snapshots = counter "persist_snapshots" (* snapshot files written *)
+(* bytes streamed into snapshot files *)
+let c_persist_snapshot_bytes = counter "persist_snapshot_bytes"
+(* collections restored from snapshot files *)
+let c_persist_restores = counter "persist_restores"
+(* bytes read back while restoring *)
+let c_persist_restore_bytes = counter "persist_restore_bytes"
+(* records appended to write-ahead logs *)
+let c_persist_wal_appends = counter "persist_wal_appends"
+(* fsync batches run by write-ahead logs *)
+let c_persist_wal_syncs = counter "persist_wal_syncs"
+(* records replayed during recovery *)
+let c_persist_wal_replayed = counter "persist_wal_replayed"
+(* torn final WAL records discarded at recovery *)
+let c_persist_torn_drops = counter "persist_torn_drops"
+let c_txn_begins = counter "txn_begins" (* transactions opened by Collection.txn *)
+let c_txn_commits = counter "txn_commits" (* transactions committed (validation passed) *)
+let c_txn_aborts = counter "txn_aborts" (* transactions explicitly aborted *)
+let c_txn_conflicts = counter "txn_conflicts" (* commits refused by write-write validation *)
+let c_txn_replayed = counter "txn_replayed" (* committed transactions re-applied at recovery *)
+(* uncommitted transaction bodies discarded at recovery *)
+let c_txn_replay_skips = counter "txn_replay_skips"
+let c_txn_views = counter "txn_views" (* snapshot views opened *)
+let c_txn_view_closes = counter "txn_view_closes" (* snapshot views closed *)
+let c_bare_stores = counter "bare_stores" (* CSN-stamped in-place Collection.store writes *)
+let c_vec_batches = counter "vec_batches" (* batches produced by vectorized SMC scans *)
+let c_vec_batch_rows = counter "vec_batch_rows" (* rows gathered into those batches *)
+let c_vec_filter_rows_in = counter "vec_filter_rows_in" (* rows entering vectorized filters *)
+(* rows surviving vectorized filters *)
+let c_vec_filter_rows_kept = counter "vec_filter_rows_kept"
+(* rows cut by vectorized filters *)
+let c_vec_filter_rows_dropped = counter "vec_filter_rows_dropped"
+let c_cg_requests = counter "cg_requests" (* compiled-plan executions requested *)
+let c_cg_compiles = counter "cg_compiles" (* plans compiled + dynlinked *)
+let c_cg_cache_hits = counter "cg_cache_hits" (* requests served from the compiled-plan cache *)
+let c_cg_fallbacks = counter "cg_fallbacks" (* requests that fell back to the Fuse engine *)
+let c_shard_routes = counter "shard_routes" (* single operations routed to an owning shard *)
+let c_shard_txns = counter "shard_txns" (* sharded transactions submitted for commit *)
+let c_shard_txn_commits = counter "shard_txn_commits" (* sharded transactions committed *)
+(* sharded transactions refused by validation *)
+let c_shard_txn_conflicts = counter "shard_txn_conflicts"
+(* committed transactions spanning > 1 shard *)
+let c_shard_txn_multi = counter "shard_txn_multi"
+let c_shard_fanouts = counter "shard_fanouts" (* fan-out scans merged across all shards *)
+let c_srv_conns = counter "srv_conns" (* connections accepted by the serving loop *)
+let c_srv_requests = counter "srv_requests" (* request frames decoded *)
+let c_srv_replies = counter "srv_replies" (* requests answered with an ok frame *)
+let c_srv_errors = counter "srv_errors" (* requests answered with an error frame *)
+let c_srv_shed = counter "srv_shed" (* requests shed by admission control *)
+let c_txt_adds = counter "txt_adds" (* rows appended to text-index pending logs *)
+let c_txt_removes = counter "txt_removes" (* row removals observed by text indexes *)
+let c_txt_probes = counter "txt_probes" (* text-index probe operations *)
+let c_txt_candidates = counter "txt_candidates" (* candidate sightings surfaced by probes *)
+let c_txt_hits = counter "txt_hits" (* validated (live, still-matching) candidates emitted *)
+let c_txt_stale = counter "txt_stale" (* candidates whose ref no longer resolved *)
+(* live candidates whose current text no longer matches *)
+let c_txt_misses = counter "txt_misses"
+let c_txt_dups = counter "txt_dups" (* candidates suppressed by per-probe deduplication *)
+let c_txt_rebuilds = counter "txt_rebuilds" (* suffix-array merge-rebuilds *)
+let c_txt_dropped = counter "txt_dropped" (* entries dropped (stale/dead) by rebuilds *)
+(* materialized-view full builds (attach + invalidation recovery) *)
+let c_mv_builds = counter "mv_builds"
+let c_mv_adds = counter "mv_adds" (* +delta applications from row adds *)
+let c_mv_removes = counter "mv_removes" (* -delta applications from row removes *)
+let c_mv_stores = counter "mv_stores" (* remove+add delta applications from in-place stores *)
+let c_mv_applied = counter "mv_applied" (* total deltas applied (= adds + removes + stores) *)
+let c_mv_reads = counter "mv_reads" (* view read operations *)
+let c_mv_hits = counter "mv_hits" (* reads served entirely from maintained state *)
+(* reads that re-derived dirty groups by bounded re-scan *)
+let c_mv_rescans = counter "mv_rescans"
+(* whole-view invalidations (non-incrementalizable delta) *)
+let c_mv_invalidations = counter "mv_invalidations"
 
-let names =
-  let a = Array.make n_counters "" in
-  Array.iter (fun (n, c) -> a.(c) <- n) all;
-  a
+let n_counters = !n_registered
+let names = Array.of_list (List.rev !registered)
 
 let name c = names.(c)
 

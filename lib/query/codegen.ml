@@ -16,16 +16,18 @@
    left-to-right, since OCaml literals evaluate right-to-left), same
    hash-table/ordering structures — so results are bit-identical to Fuse,
    including raises. Two details keep the plugin decoupled from any one
-   collection: scans and index probes enter as a closure array, and
+   collection: access-path leaves (scans, index and text probes, view
+   reads) enter as a closure array built with {!Plan.leaf_rows}, and
    constants as a [Value.t array], both indexed by emission order. The
-   compiled function is cached by the digest of its source, so plans that
-   differ only in constants or in the collection they scan share one
+   rendered source names no source, index or view, and the compiled
+   function is cached by the digest of that source, so plans that differ
+   only in constants, probe keys, or the collection they read share one
    plugin.
 
    Fallback rules (docs/vectorized.md): bytecode hosts, a missing
    toolchain, unlocatable .cmi directories, compile or load failures, and
-   the one unsupported operator (IndexJoin — its per-row probe does not fit
-   the uniform scan ABI) all fall back to {!Fuse}, reported in
+   the one unsupported operator (IndexJoin — its per-row keyed probe does
+   not fit the leaf closure ABI) all fall back to {!Fuse}, reported in
    [prepare]'s outcome and counted under [cg_fallbacks]. *)
 
 type compiled_fn =
@@ -35,14 +37,6 @@ type compiled_fn =
   unit
 
 exception Unsupported of string
-
-(* Pipeline leaves, in emission order — the host builds the [sources]
-   closure array from these with the exact closures Fuse would use. *)
-type leaf =
-  | L_scan of Source.t
-  | L_probe of Source.index_info * Value.t
-  | L_text of Source.text_info * Smc_text.Sa_index.op * string
-  | L_view of Source.matview_info
 
 let indent n = String.make (2 * n) ' '
 
@@ -140,47 +134,13 @@ let render plan =
   in
   let rec emit plan depth k =
     match plan with
-    | Plan.Scan src ->
-      let i = add_leaf (L_scan src) in
+    | Plan.Scan _ | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ ->
+      (* The leaf's rows come from a host closure; the comment names no
+         source, index or view, so plans that differ only in what they
+         read share one plugin. *)
+      let i = add_leaf (Plan.leaf_rows plan) in
       let row = fresh "row" in
-      line depth "(* scan %s: valid slots in block order, one epoch critical" src.Source.name;
-      line depth "   section per block on the batch path *)";
-      line depth "Array.get sources %d (fun %s ->" i row;
-      k (depth + 1) row;
-      line (depth + 1) "());";
-      ignore (Plan.schema plan)
-    | Plan.IndexScan { src; index; value } ->
-      let i = add_leaf (L_probe (index, value)) in
-      let row = fresh "row" in
-      line depth "(* index scan %s.%s via %s: off-heap hash probe, hits" src.Source.name
-        index.Source.ix_column index.Source.ix_name;
-      line depth "   incarnation-validated and re-checked structurally *)";
-      line depth "Array.get sources %d (fun %s ->" i row;
-      k (depth + 1) row;
-      line (depth + 1) "());"
-    | Plan.TextScan { src; text; op; needle } ->
-      (* The needle rides in the leaf closure, not the rendered source:
-         plans differing only in needle share one compiled plugin, exactly
-         like L_probe constants. *)
-      let i = add_leaf (L_text (text, op, needle)) in
-      let row = fresh "row" in
-      line depth "(* text scan %s.%s via %s (%s): suffix-array probe, hits"
-        src.Source.name text.Source.tx_column text.Source.tx_name
-        (match op with
-        | Smc_text.Sa_index.Prefix -> "prefix"
-        | Smc_text.Sa_index.Substring -> "substring"
-        | Smc_text.Sa_index.Substring_ci -> "substring-ci");
-      line depth "   incarnation-validated and text-re-checked *)";
-      line depth "Array.get sources %d (fun %s ->" i row;
-      k (depth + 1) row;
-      line (depth + 1) "());"
-    | Plan.ViewRead { src; matview } ->
-      (* The maintained view result is a host-side closure like the other
-         leaves; only the view's identity shapes the rendered plan. *)
-      let i = add_leaf (L_view matview) in
-      let row = fresh "row" in
-      line depth "(* view read %s.%s: maintained aggregate groups, O(groups) *)"
-        src.Source.name matview.Source.mv_name;
+      line depth "(* access-path leaf: rows pushed by host closure %d *)" i;
       line depth "Array.get sources %d (fun %s ->" i row;
       k (depth + 1) row;
       line (depth + 1) "());"
@@ -218,8 +178,8 @@ let render plan =
           line (d + 2) "())";
           line (d + 1) "(Hashtbl.find_all %s %s);" table (glist lschema lrow lkeys))
     | Plan.IndexJoin _ ->
-      (* The per-left-row keyed probe (with its ix_accepts split and lazy
-         hash fallback) does not fit the uniform scan closure ABI. *)
+      (* The per-left-row keyed probe ([Source.join_probe]) does not fit
+         the uniform leaf closure ABI. *)
       raise (Unsupported "IndexJoin is not compiled; executed by Fuse")
     | Plan.GroupBy { keys; aggs; input } ->
       let schema = Plan.schema input in
@@ -557,11 +517,10 @@ let cache_lock = Mutex.create ()
 type outcome = Native of string | Fallback of string
 
 let rec plan_obs plan =
-  let src_obs (s : Source.t) = s.Source.obs in
   match plan with
-  | Plan.Scan s -> src_obs s
-  | Plan.IndexScan { src; _ } | Plan.TextScan { src; _ } | Plan.ViewRead { src; _ } ->
-    src_obs src
+  | Plan.Scan src | Plan.IndexScan { src; _ } | Plan.TextScan { src; _ }
+  | Plan.ViewRead { src; _ } ->
+    src.Source.obs
   | Plan.Where (_, p) | Plan.Select (_, p) | Plan.OrderBy (_, p) | Plan.Limit (_, p)
   | Plan.Distinct p ->
     plan_obs p
@@ -569,13 +528,7 @@ let rec plan_obs plan =
   | Plan.HashJoin { left; right; _ } -> (
     match plan_obs left with Some o -> Some o | None -> plan_obs right)
   | Plan.IndexJoin { left; src; _ } -> (
-    match plan_obs left with Some o -> Some o | None -> src_obs src)
-
-let leaf_closure = function
-  | L_scan src -> src.Source.scan
-  | L_probe (index, value) -> fun emit -> index.Source.ix_probe value emit
-  | L_text (text, op, needle) -> fun emit -> text.Source.tx_probe op needle emit
-  | L_view matview -> matview.Source.mv_read
+    match plan_obs left with Some o -> Some o | None -> src.Source.obs)
 
 let prepare plan =
   let obs = plan_obs plan in
@@ -604,7 +557,7 @@ let prepare plan =
     (match fetch () with
      | Ok (fn, hit) ->
        bump (if hit then Smc_obs.c_cg_cache_hits else Smc_obs.c_cg_compiles);
-       let sources = Array.of_list (List.map leaf_closure leaves) in
+       let sources = Array.of_list leaves in
        ((fun f -> fn sources consts f), Native digest)
      | Error reason ->
        bump Smc_obs.c_cg_fallbacks;

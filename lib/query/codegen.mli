@@ -10,15 +10,15 @@
     [Dynlink.loadfile_private], and receives the query function back through
     {!Codegen_abi}. Compiled plans are cached by the digest of their source,
     so re-running a plan shape (even over a different collection, or with
-    different constants — both enter as runtime arguments) reuses the
-    plugin.
+    different constants or probe keys — all enter as runtime arguments,
+    and the rendered source names no collection) reuses the plugin.
 
     Results are bit-identical to {!Fuse.collect}: the emitted code
     transliterates {!Expr.compile}, {!Aggregate.compile} and {!Fuse}'s
     operator loops case by case, preserving evaluation order and raises.
     When compilation is impossible — bytecode host, no [ocamlopt] on PATH,
     unlocatable .cmi directories, a compile/load failure, or an [IndexJoin]
-    in the plan (its keyed per-row probe does not fit the scan-closure
+    in the plan (its keyed per-row probe does not fit the leaf-closure
     ABI) — execution silently falls back to {!Fuse} and the outcome says
     why. Requests, compiles, cache hits and fallbacks are counted under the
     plan's source runtime ([cg_*] counters; every request lands in exactly
@@ -34,8 +34,8 @@ exception Unsupported of string
 
 val to_ocaml_source : Plan.t -> string
 (** The complete plugin module for the plan: scalar helper prelude, the
-    [query] function (scans and index probes abstracted as a closure
-    array, constants as a [Value.t array]), and the {!Codegen_abi}
+    [query] function (access-path leaves abstracted as a closure array,
+    constants as a [Value.t array]), and the {!Codegen_abi}
     registration keyed by the source digest. *)
 
 val available : unit -> bool

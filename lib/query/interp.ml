@@ -4,54 +4,53 @@
 
 let group_key key_fns row = List.map (fun f -> f row) key_fns
 
+(* Cursor draining a materialised row list. *)
+let pull_of_list rows =
+  let remaining = ref rows in
+  fun () ->
+    match !remaining with
+    | [] -> None
+    | row :: rest ->
+      remaining := rest;
+      Some row
+
+(* Pull adapter over a push producer: materialise its rows, in order. *)
+let pull_of_push produce =
+  let rows = ref [] in
+  produce (fun row -> rows := row :: !rows);
+  pull_of_list (List.rev !rows)
+
+let rec drain next f =
+  match next () with
+  | None -> ()
+  | Some row ->
+    f row;
+    drain next f
+
+(* Join cursor: each left row appended to each of its matches, in order. *)
+let join_pull lnext matches =
+  let pending = ref [] and current_left = ref [||] in
+  let rec pull () =
+    match !pending with
+    | row :: rest ->
+      pending := rest;
+      Some (Array.append !current_left row)
+    | [] ->
+      (match lnext () with
+      | None -> None
+      | Some l ->
+        current_left := l;
+        pending := matches l;
+        pull ())
+  in
+  pull
+
 let rec open_cursor plan =
   match plan with
-  | Plan.Scan src ->
-    (* Pull adapter over the push source: materialise the base rows. *)
-    let rows = ref [] in
-    src.Source.scan (fun row -> rows := row :: !rows);
-    let remaining = ref (List.rev !rows) in
-    fun () ->
-      (match !remaining with
-      | [] -> None
-      | row :: rest ->
-        remaining := rest;
-        Some row)
-  | Plan.IndexScan { index; value; _ } ->
-    (* Pull adapter over the index probe, mirroring the Scan adapter: the
-       probe (one critical section, incarnation-validated hits) fills the
-       row list the cursor drains. *)
-    let rows = ref [] in
-    index.Source.ix_probe value (fun row -> rows := row :: !rows);
-    let remaining = ref (List.rev !rows) in
-    fun () ->
-      (match !remaining with
-      | [] -> None
-      | row :: rest ->
-        remaining := rest;
-        Some row)
-  | Plan.TextScan { text; op; needle; _ } ->
-    (* Same pull adapter over the suffix-array probe. *)
-    let rows = ref [] in
-    text.Source.tx_probe op needle (fun row -> rows := row :: !rows);
-    let remaining = ref (List.rev !rows) in
-    fun () ->
-      (match !remaining with
-      | [] -> None
-      | row :: rest ->
-        remaining := rest;
-        Some row)
-  | Plan.ViewRead { matview; _ } ->
-    (* Same pull adapter over the maintained view result. *)
-    let rows = ref [] in
-    matview.Source.mv_read (fun row -> rows := row :: !rows);
-    let remaining = ref (List.rev !rows) in
-    fun () ->
-      (match !remaining with
-      | [] -> None
-      | row :: rest ->
-        remaining := rest;
-        Some row)
+  | Plan.Scan _ | Plan.IndexScan _ | Plan.TextScan _ | Plan.ViewRead _ ->
+    (* A scan, an index or text probe (one critical section,
+       incarnation-validated hits) or a maintained view result. *)
+    pull_of_push (Plan.leaf_rows plan)
   | Plan.Where (pred, input) ->
     let next = open_cursor input in
     let test = Expr.compile_pred ~schema:(Plan.schema input) pred in
@@ -79,83 +78,24 @@ let rec open_cursor plan =
     in
     (* Build side: materialise the right input into a hash table. *)
     let table = Hashtbl.create 1024 in
-    let rnext = open_cursor right in
-    let rec build () =
-      match rnext () with
-      | None -> ()
-      | Some row ->
-        Hashtbl.add table (group_key rkeys row) row;
-        build ()
-    in
-    build ();
-    let lnext = open_cursor left in
-    let pending = ref [] in
-    let current_left = ref None in
-    let rec pull () =
-      match !pending with
-      | row :: rest ->
-        pending := rest;
-        let l = Option.get !current_left in
-        Some (Array.append l row)
-      | [] ->
-        (match lnext () with
-        | None -> None
-        | Some l ->
-          current_left := Some l;
-          pending := Hashtbl.find_all table (group_key lkeys l);
-          pull ())
-    in
-    pull
+    drain (open_cursor right) (fun row -> Hashtbl.add table (group_key rkeys row) row);
+    join_pull (open_cursor left) (fun l -> Hashtbl.find_all table (group_key lkeys l))
   | Plan.IndexJoin { left; src; index; left_col } ->
     (* Index nested-loop join: no build phase — each left row probes the
-       attached index, one critical section per probe. Left keys the
-       index cannot hold (Null, decimals, booleans) still join under
-       HashJoin's structural equality — e.g. Null matches Null — so they
-       route through a hash table built lazily, only if such a key
-       actually appears. *)
+       attached index, one critical section per probe. *)
     let lkey = Expr.compile ~schema:(Plan.schema left) (Expr.Col left_col) in
-    let ci = Source.column_index src index.Source.ix_column in
-    let fallback =
-      lazy
-        (let tbl = Hashtbl.create 1024 in
-         src.Source.scan (fun r -> Hashtbl.add tbl r.(ci) r);
-         tbl)
-    in
-    let lnext = open_cursor left in
-    let pending = ref [] in
-    let current_left = ref None in
-    let rec pull () =
-      match !pending with
-      | row :: rest ->
-        pending := rest;
-        let l = Option.get !current_left in
-        Some (Array.append l row)
-      | [] ->
-        (match lnext () with
-        | None -> None
-        | Some l ->
-          current_left := Some l;
-          let k = lkey l in
-          (if index.Source.ix_accepts k then begin
-             let matches = ref [] in
-             index.Source.ix_probe k (fun r -> matches := r :: !matches);
-             pending := List.rev !matches
-           end
-           else pending := Hashtbl.find_all (Lazy.force fallback) k);
-          pull ())
-    in
-    pull
+    let probe = Source.join_probe src index in
+    join_pull (open_cursor left) (fun l ->
+        let matches = ref [] in
+        probe (lkey l) (fun r -> matches := r :: !matches);
+        List.rev !matches)
   | Plan.GroupBy { keys; aggs; input } ->
     let schema = Plan.schema input in
     let key_fns = List.map (fun (_, e) -> Expr.compile ~schema e) keys in
     let compiled = List.map (fun (_, a) -> Aggregate.compile ~schema a) aggs in
     let groups = Hashtbl.create 256 in
     let order = ref [] in
-    let next = open_cursor input in
-    let rec consume () =
-      match next () with
-      | None -> ()
-      | Some row ->
+    drain (open_cursor input) (fun row ->
         let key = group_key key_fns row in
         let cells =
           match Hashtbl.find_opt groups key with
@@ -166,10 +106,7 @@ let rec open_cursor plan =
             order := key :: !order;
             cells
         in
-        List.iter2 (fun (_, update, _) cell -> update cell row) compiled cells;
-        consume ()
-    in
-    consume ();
+        List.iter2 (fun (_, update, _) cell -> update cell row) compiled cells);
     let remaining = ref (List.rev !order) in
     fun () ->
       (match !remaining with
@@ -182,16 +119,8 @@ let rec open_cursor plan =
   | Plan.OrderBy (specs, input) ->
     let schema = Plan.schema input in
     let fns = List.map (fun (e, d) -> (Expr.compile ~schema e, d)) specs in
-    let next = open_cursor input in
     let rows = ref [] in
-    let rec consume () =
-      match next () with
-      | None -> ()
-      | Some row ->
-        rows := row :: !rows;
-        consume ()
-    in
-    consume ();
+    drain (open_cursor input) (fun row -> rows := row :: !rows);
     let compare_rows a b =
       let rec go = function
         | [] -> 0
@@ -202,14 +131,7 @@ let rec open_cursor plan =
       in
       go fns
     in
-    let sorted = List.stable_sort compare_rows (List.rev !rows) in
-    let remaining = ref sorted in
-    fun () ->
-      (match !remaining with
-      | [] -> None
-      | row :: rest ->
-        remaining := rest;
-        Some row)
+    pull_of_list (List.stable_sort compare_rows (List.rev !rows))
   | Plan.Distinct input ->
     let next = open_cursor input in
     let seen = Hashtbl.create 256 in
@@ -238,16 +160,7 @@ let rec open_cursor plan =
           Some row
       end
 
-let run plan ~f =
-  let next = open_cursor plan in
-  let rec go () =
-    match next () with
-    | None -> ()
-    | Some row ->
-      f row;
-      go ()
-  in
-  go ()
+let run plan ~f = drain (open_cursor plan) f
 
 let collect plan =
   let out = ref [] in

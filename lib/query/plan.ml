@@ -49,6 +49,16 @@ let rec schema = function
   | HashJoin { left; right; _ } -> joined_schema (schema left) (schema right)
   | IndexJoin { left; src; _ } -> joined_schema (schema left) src.Source.schema
 
+(* The one place that knows which probe an access-path leaf calls: every
+   engine pushes a leaf's rows through this closure, so a new access path
+   costs a constructor and an arm here, not an arm per engine. *)
+let leaf_rows = function
+  | Scan src -> src.Source.scan
+  | IndexScan { index; value; _ } -> index.Source.ix_probe value
+  | TextScan { text; op; needle; _ } -> text.Source.tx_probe op needle
+  | ViewRead { matview; _ } -> matview.Source.mv_read
+  | _ -> invalid_arg "Plan.leaf_rows: not an access-path leaf"
+
 (* Eager column validation: unknown references fail at plan construction,
    naming the operator and the input schema, instead of surfacing as an
    [Expr.compile] error deep inside Interp/Fuse at run time. *)

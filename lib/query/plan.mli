@@ -66,6 +66,13 @@ val schema : t -> string array
 (** Output column names. Raises [Invalid_argument] on name collisions in a
     join's combined schema. *)
 
+val leaf_rows : t -> (Value.t array -> unit) -> unit
+(** [leaf_rows leaf emit] pushes the rows of an access-path leaf ([Scan],
+    [IndexScan], [TextScan] or [ViewRead]) — the full scan, the index or
+    text probe, or the maintained view result. Every engine evaluates its
+    leaves through this one function. Raises [Invalid_argument] on any
+    other node. *)
+
 val scan : Source.t -> t
 
 val index_scan : Source.t -> column:string -> value:Value.t -> t

@@ -20,7 +20,8 @@
       skipping the build phase entirely. The executors preserve
       HashJoin's structural-equality semantics: probed rows are re-checked
       against the left key, and left keys the index cannot hold (Null,
-      decimals, booleans) fall back to a lazily built hash table.
+      decimals, booleans) fall back to a lazily built hash table
+      ({!Source.join_probe}).
 
     The pass is explicit: callers opt in per plan, so the same logical
     plan can be run both ways and compared. Rewrites preserve the bag of

@@ -138,10 +138,10 @@ let fill_column col vec blk slots n =
    kind. The conversion mirrors the key encoding: ints and dates (epoch
    days) are int keys, strings are string keys; anything else — Null,
    decimals, booleans — is unindexable ([ix_accepts] = false), so the
-   planner leaves such predicates on the scan path and the IndexJoin
-   executors fall back to a hash build for such left keys (Null joins
-   Null under HashJoin's structural equality; an index probe could never
-   reproduce that). *)
+   planner leaves such predicates on the scan path and [join_probe] falls
+   back to a hash build for such left keys (Null joins Null under
+   HashJoin's structural equality; an index probe could never reproduce
+   that). *)
 let key_of_value kind v =
   match (kind, v) with
   | `Int, Value.Int n -> Some (Smc_index.Hash_index.K_int n)
@@ -451,6 +451,22 @@ let column_index t col =
 
 let find_index t col =
   List.find_opt (fun ix -> String.equal ix.ix_column col) t.indexes
+
+(* Left keys the index cannot hold (Null, decimals, booleans) still join
+   under HashJoin's structural equality — Null matches Null — so they route
+   through a hash table over the source, built lazily on the first such key
+   and only then. The table belongs to the returned probe: one per run. *)
+let join_probe t index =
+  let ci = column_index t index.ix_column in
+  let fallback =
+    lazy
+      (let tbl = Hashtbl.create 1024 in
+       t.scan (fun r -> Hashtbl.add tbl r.(ci) r);
+       tbl)
+  in
+  fun k emit ->
+    if index.ix_accepts k then index.ix_probe k emit
+    else List.iter emit (Hashtbl.find_all (Lazy.force fallback) k)
 
 let find_text t col = List.find_opt (fun tx -> String.equal tx.tx_column col) t.texts
 

@@ -18,7 +18,7 @@ type index_info = {
           index cannot hold (wrong type, [Null]) *)
   ix_accepts : Value.t -> bool;
       (** whether a constant of this shape can be routed to the index;
-          executors must fall back to scan-equality for rejected values *)
+          rejected values need the scan path (see {!join_probe}) *)
 }
 
 type text_info = {
@@ -156,6 +156,14 @@ val column_index : t -> string -> int
 
 val find_index : t -> string -> index_info option
 (** The advertised access path keyed on the given column, if any. *)
+
+val join_probe : t -> index_info -> (Value.t -> (Value.t array -> unit) -> unit)
+(** [join_probe src index] is a fresh keyed probe for one run of an
+    index nested-loop join: [probe k emit] pushes every row of [src]
+    whose indexed column is structurally equal to [k] — through the index
+    when it can hold [k], else (Null, decimals, booleans) through a hash
+    table over [src.scan], built on the first such key. That keeps
+    [IndexJoin] on HashJoin's structural equality (Null joins Null). *)
 
 val find_text : t -> string -> text_info option
 (** The advertised text access path over the given column, if any. *)

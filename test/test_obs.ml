@@ -72,7 +72,13 @@ let test_diff_and_names () =
   check Alcotest.string "counter name" "retires" (Smc_obs.name Smc_obs.c_retires);
   check Alcotest.bool "all counters named" true
     (Array.for_all (fun c -> Smc_obs.name c <> "")
-       (Array.init Smc_obs.n_counters Fun.id))
+       (Array.init Smc_obs.n_counters Fun.id));
+  let names = Array.init Smc_obs.n_counters Smc_obs.name in
+  check Alcotest.int "counter names pairwise distinct" Smc_obs.n_counters
+    (List.length (List.sort_uniq String.compare (Array.to_list names)));
+  check Alcotest.string "last registered counter name" "mv_invalidations"
+    (Smc_obs.name Smc_obs.c_mv_invalidations);
+  check Alcotest.int "registered counters" 94 Smc_obs.n_counters
 
 let test_table_rendering () =
   let o = Smc_obs.create ~label:"render" () in

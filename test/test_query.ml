@@ -484,17 +484,28 @@ let test_codegen_renders () =
   (* the compiled path must execute — not just render — when the toolchain
      is present, and agree with the interpreter bit for bit *)
   if Codegen.available () then begin
-    let runner, outcome = Codegen.prepare plan in
-    (match outcome with
-    | Codegen.Native _ -> ()
-    | Codegen.Fallback reason -> Alcotest.fail ("expected native execution: " ^ reason));
+    let native what plan =
+      match Codegen.prepare plan with
+      | runner, Codegen.Native digest -> (runner, digest)
+      | _, Codegen.Fallback reason -> Alcotest.failf "expected %s: %s" what reason
+    in
+    let runner, digest = native "native execution" plan in
     let out = ref [] in
     runner (fun row -> out := row :: !out);
     check rows_testable "compiled = volcano" (Interp.collect plan) (List.rev !out);
     (* second prepare of the same shape must hit the plugin cache *)
-    (match snd (Codegen.prepare plan) with
-    | Codegen.Native _ -> ()
-    | Codegen.Fallback reason -> Alcotest.fail ("expected cache hit: " ^ reason))
+    check Alcotest.string "second prepare reuses the plugin" digest
+      (snd (native "cache hit" plan));
+    (* the rendered leaf names no collection: one plan shape over two
+       differently named sources is one plugin *)
+    let over name =
+      let src =
+        Source.of_array ~name ~schema:[ "a" ] [| [| Value.Int 1 |]; [| Value.Int (-1) |] |]
+      in
+      snd (native ("native plan over " ^ name) Plan.(where Expr.(Gt (Col "a", int 0)) (scan src)))
+    in
+    check Alcotest.string "same shape, other collection, same plugin" (over "left")
+      (over "right")
   end;
   (* IndexJoin is the documented fallback: executed by Fuse, never wrong *)
   let coll, fk, fv, _refs = mk_ikv 8 in
